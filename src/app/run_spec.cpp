@@ -1,6 +1,5 @@
 #include "app/run_spec.hpp"
 
-#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -16,34 +15,6 @@ namespace {
 
 [[noreturn]] void spec_error(const std::string& message) {
   throw std::runtime_error("run spec: " + message);
-}
-
-double require_number(const JsonValue& v, const std::string& what) {
-  if (!v.is_number()) spec_error(what + " must be a number");
-  return v.as_number();
-}
-
-std::uint64_t require_u64(const JsonValue& v, const std::string& what) {
-  double d = require_number(v, what);
-  if (d < 0.0 || d != std::floor(d)) spec_error(what + " must be a non-negative integer");
-  return static_cast<std::uint64_t>(d);
-}
-
-int require_int(const JsonValue& v, const std::string& what) {
-  double d = require_number(v, what);
-  int i = static_cast<int>(d);
-  if (static_cast<double>(i) != d) spec_error(what + " must be an integer");
-  return i;
-}
-
-const std::string& require_string(const JsonValue& v, const std::string& what) {
-  if (!v.is_string()) spec_error(what + " must be a string");
-  return v.as_string();
-}
-
-bool require_bool(const JsonValue& v, const std::string& what) {
-  if (!v.is_bool()) spec_error(what + " must be a bool");
-  return v.as_bool();
 }
 
 }  // namespace
@@ -107,61 +78,61 @@ RunSpec parse_run_spec_json(const std::string& text) {
 RunSpec parse_run_spec_value(const JsonValue& doc) {
   if (!doc.is_object()) spec_error("top level must be an object");
   RunSpec spec;
-  for (const auto& [key, value] : doc.as_object()) {
-    if (key == "workload") {
-      spec.workload = require_string(value, "workload");
-      spec.workload_explicit = true;
-    } else if (key == "scheduler") {
-      const std::string& name = require_string(value, "scheduler");
-      auto kind = scheduler_kind_from_name(name);
-      if (!kind) spec_error("unknown scheduler '" + name + "'");
-      spec.scheduler = *kind;
-    } else if (key == "fleet") {
-      spec.fleet = require_string(value, "fleet");
-    } else if (key == "fleet_spec") {
-      try {
-        spec.fleet_spec = parse_fleet_value(value);
-      } catch (const std::exception& e) {
-        spec_error(std::string("fleet_spec: ") + e.what());
-      }
-    } else if (key == "iterations") {
-      spec.iterations = require_int(value, "iterations");
-    } else if (key == "seed") {
-      spec.seed = require_u64(value, "seed");
-    } else if (key == "sample_utilization") {
-      spec.sample_utilization = require_bool(value, "sample_utilization");
-    } else if (key == "faults") {
-      spec.faults = require_string(value, "faults");
-    } else if (key == "chaos_seed") {
-      spec.chaos_seed = require_u64(value, "chaos_seed");
-    } else if (key == "arrivals") {
-      spec.arrivals = require_number(value, "arrivals");
-    } else if (key == "tenants") {
-      spec.tenants = require_int(value, "tenants");
-    } else if (key == "pool_policy") {
-      const std::string& name = require_string(value, "pool_policy");
-      if (name == "fifo") {
-        spec.pool_policy = PoolPolicy::kFifo;
-      } else if (name == "fair") {
-        spec.pool_policy = PoolPolicy::kFair;
+  try {
+    for (const auto& [key, value] : doc.as_object()) {
+      if (key == "workload") {
+        spec.workload = require_string(value, "workload");
+        spec.workload_explicit = true;
+      } else if (key == "scheduler") {
+        const std::string& name = require_string(value, "scheduler");
+        auto kind = scheduler_kind_from_name(name);
+        if (!kind) spec_error("unknown scheduler '" + name + "'");
+        spec.scheduler = *kind;
+      } else if (key == "fleet") {
+        spec.fleet = require_string(value, "fleet");
+      } else if (key == "fleet_spec") {
+        try {
+          spec.fleet_spec = parse_fleet_value(value);
+        } catch (const std::exception& e) {
+          spec_error(std::string("fleet_spec: ") + e.what());
+        }
+      } else if (key == "iterations") {
+        spec.iterations = require_int(value, "iterations");
+      } else if (key == "seed") {
+        spec.seed = require_u64(value, "seed");
+      } else if (key == "sample_utilization") {
+        spec.sample_utilization = require_bool(value, "sample_utilization");
+      } else if (key == "faults") {
+        spec.faults = require_string(value, "faults");
+      } else if (key == "chaos_seed") {
+        spec.chaos_seed = require_u64(value, "chaos_seed");
+      } else if (key == "arrivals") {
+        spec.arrivals = require_number(value, "arrivals");
+      } else if (key == "tenants") {
+        spec.tenants = require_int(value, "tenants");
+      } else if (key == "pool_policy") {
+        const std::string& name = require_string(value, "pool_policy");
+        auto policy = pool_policy_from_name(name);
+        if (!policy) spec_error("unknown pool_policy '" + name + "'");
+        spec.pool_policy = *policy;
+      } else if (key == "duration") {
+        spec.duration = require_number(value, "duration");
+      } else if (key == "diurnal") {
+        spec.diurnal = require_number(value, "diurnal");
+      } else if (key == "diurnal_period") {
+        spec.diurnal_period = require_number(value, "diurnal_period");
+      } else if (key == "autoscale") {
+        spec.autoscale = require_int(value, "autoscale");
+      } else if (key == "spot_plan") {
+        spec.spot_plan = require_string(value, "spot_plan");
+      } else if (key == "preempt") {
+        spec.preempt = require_bool(value, "preempt");
       } else {
-        spec_error("unknown pool_policy '" + name + "'");
+        spec_error("unknown key '" + key + "'");
       }
-    } else if (key == "duration") {
-      spec.duration = require_number(value, "duration");
-    } else if (key == "diurnal") {
-      spec.diurnal = require_number(value, "diurnal");
-    } else if (key == "diurnal_period") {
-      spec.diurnal_period = require_number(value, "diurnal_period");
-    } else if (key == "autoscale") {
-      spec.autoscale = require_int(value, "autoscale");
-    } else if (key == "spot_plan") {
-      spec.spot_plan = require_string(value, "spot_plan");
-    } else if (key == "preempt") {
-      spec.preempt = require_bool(value, "preempt");
-    } else {
-      spec_error("unknown key '" + key + "'");
     }
+  } catch (const JsonFieldError& e) {
+    spec_error(e.what());
   }
   spec.validate();
   return spec;

@@ -11,8 +11,10 @@
 //
 // Observability switches (traces, metrics, audit, analysis) are output
 // routing, not run identity — they never perturb the simulated event
-// sequence — so they stay on SimulationConfig/CliOptions and are NOT part
-// of a RunSpec. Schema in DESIGN.md §14.
+// sequence — so they are NOT part of a RunSpec: callers set them on the
+// SimulationConfig that make_simulation_config returns, and the CLI keeps
+// their flags in the fields CliOptions adds to its RunSpec base. Schema in
+// DESIGN.md §14.
 #pragma once
 
 #include <optional>
@@ -54,8 +56,9 @@ struct RunSpec {
   std::string spot_plan;
   bool preempt = false;
 
-  /// Field-level sanity checks (same limits the CLI enforces); throws
-  /// std::runtime_error with a field-specific message.
+  /// Field-level sanity checks, the only range checks on these fields
+  /// (the CLI runs them after parsing); throws std::runtime_error with a
+  /// field-specific message.
   void validate() const;
 };
 

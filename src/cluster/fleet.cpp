@@ -1,6 +1,5 @@
 #include "cluster/fleet.hpp"
 
-#include <cmath>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -167,17 +166,6 @@ FleetSpec scaled_hydra_fleet(int nodes, std::uint64_t seed) {
 
 namespace {
 
-double require_number(const JsonValue& v, const std::string& what) {
-  if (!v.is_number()) spec_error(what + " must be a number");
-  return v.as_number();
-}
-
-int require_int(const JsonValue& v, const std::string& what) {
-  double d = require_number(v, what);
-  if (d != std::floor(d)) spec_error(what + " must be an integer");
-  return static_cast<int>(d);
-}
-
 NodeSpec base_template(const std::string& name) {
   if (name == "thor") return thor_spec();
   if (name == "hulk") return hulk_spec();
@@ -192,11 +180,9 @@ NodeClassMix parse_class(const JsonValue& v) {
   // before any per-field override regardless of file order.
   for (const auto& [key, val] : v.as_object()) {
     if (key == "name") {
-      if (!val.is_string()) spec_error("class name must be a string");
-      mix.name = val.as_string();
+      mix.name = require_string(val, "class name");
     } else if (key == "base") {
-      if (!val.is_string()) spec_error("class base must be a string");
-      mix.base = base_template(val.as_string());
+      mix.base = base_template(require_string(val, "class base"));
     } else if (key == "count") {
       mix.count = require_int(val, "count");
     } else if (key == "cores") {
@@ -210,8 +196,7 @@ NodeClassMix parse_class(const JsonValue& v) {
     } else if (key == "net_gbps") {
       mix.base.net_bandwidth = gbit_per_s(require_number(val, "net_gbps"));
     } else if (key == "ssd") {
-      if (!val.is_bool()) spec_error("ssd must be a bool");
-      mix.base.has_ssd = val.as_bool();
+      mix.base.has_ssd = require_bool(val, "ssd");
     } else if (key == "disk_read_mbps") {
       mix.base.disk_read_bw = mib_per_s(require_number(val, "disk_read_mbps"));
     } else if (key == "disk_write_mbps") {
@@ -260,23 +245,25 @@ FleetSpec parse_fleet_value(const JsonValue& doc) {
   if (!doc.is_object()) spec_error("top level must be an object");
   FleetSpec spec;
   bool have_classes = false;
-  for (const auto& [key, val] : doc.as_object()) {
-    if (key == "name") {
-      if (!val.is_string()) spec_error("name must be a string");
-      spec.name = val.as_string();
-    } else if (key == "seed") {
-      double d = require_number(val, "seed");
-      if (d < 0.0 || d != std::floor(d)) spec_error("seed must be a non-negative integer");
-      spec.seed = static_cast<std::uint64_t>(d);
-    } else if (key == "switch_gbps") {
-      spec.switch_bandwidth = gbit_per_s(require_number(val, "switch_gbps"));
-    } else if (key == "classes") {
-      if (!val.is_array()) spec_error("classes must be an array");
-      for (const JsonValue& c : val.as_array()) spec.classes.push_back(parse_class(c));
-      have_classes = true;
-    } else {
-      spec_error("unknown top-level key '" + key + "'");
+  try {
+    for (const auto& [key, val] : doc.as_object()) {
+      if (key == "name") {
+        spec.name = require_string(val, "name");
+      } else if (key == "seed") {
+        spec.seed = require_u64(val, "seed");
+      } else if (key == "switch_gbps") {
+        spec.switch_bandwidth = gbit_per_s(require_number(val, "switch_gbps"));
+      } else if (key == "classes") {
+        for (const JsonValue& c : require_array(val, "classes")) {
+          spec.classes.push_back(parse_class(c));
+        }
+        have_classes = true;
+      } else {
+        spec_error("unknown top-level key '" + key + "'");
+      }
     }
+  } catch (const JsonFieldError& e) {
+    spec_error(e.what());
   }
   if (!have_classes) spec_error("missing \"classes\" array");
   spec.validate();

@@ -1,7 +1,9 @@
 #include "common/json_reader.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 
 namespace rupam {
 
@@ -75,6 +77,11 @@ JsonValue JsonValue::make_object(Object o) {
 
 namespace {
 
+/// Deepest array/object nesting parse_json accepts. Real config documents
+/// nest a handful of levels; the cap keeps the recursive descent far from
+/// the end of the stack on hostile input.
+constexpr int kMaxNestingDepth = 256;
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
@@ -121,8 +128,15 @@ class Parser {
   JsonValue parse_value() {
     skip_whitespace();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (++depth_ > kMaxNestingDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxNestingDepth) + " levels");
+        }
+        JsonValue v = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return JsonValue::make_string(parse_string());
       case 't':
         if (!consume_literal("true")) fail("malformed literal");
@@ -255,15 +269,66 @@ class Parser {
       }
       while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
     }
-    return JsonValue::make_number(std::strtod(text_.c_str() + start, nullptr));
+    double value = std::strtod(text_.c_str() + start, nullptr);
+    if (std::isinf(value)) {
+      pos_ = start;
+      fail("number out of range");
+    }
+    return JsonValue::make_number(value);
   }
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
+
+[[noreturn]] void field_error(const std::string& what, const std::string& must) {
+  throw JsonFieldError(what + " must be " + must);
+}
 
 }  // namespace
 
 JsonValue parse_json(const std::string& text) { return Parser(text).parse_document(); }
+
+double require_number(const JsonValue& v, const std::string& what) {
+  if (!v.is_number()) field_error(what, "a number");
+  if (!std::isfinite(v.as_number())) field_error(what, "a finite number");
+  return v.as_number();
+}
+
+const std::string& require_string(const JsonValue& v, const std::string& what) {
+  if (!v.is_string()) field_error(what, "a string");
+  return v.as_string();
+}
+
+bool require_bool(const JsonValue& v, const std::string& what) {
+  if (!v.is_bool()) field_error(what, "a bool");
+  return v.as_bool();
+}
+
+const JsonValue::Array& require_array(const JsonValue& v, const std::string& what) {
+  if (!v.is_array()) field_error(what, "an array");
+  return v.as_array();
+}
+
+template <class T>
+T require_integer(const JsonValue& v, const std::string& what) {
+  using Limits = std::numeric_limits<T>;
+  double d = require_number(v, what);
+  if (d != std::floor(d)) field_error(what, "an integer");
+  // T's range is [min, 2^digits): both bounds are 0 or powers of two, so
+  // they convert to double exactly and the cast below is always defined.
+  const double lo = static_cast<double>(Limits::min());
+  const double hi = std::ldexp(1.0, Limits::digits);
+  if (d < lo || d >= hi) {
+    field_error(what, "an integer in [" + std::to_string(Limits::min()) + ", " +
+                          std::to_string(Limits::max()) + "]");
+  }
+  return static_cast<T>(d);
+}
+
+template int require_integer<int>(const JsonValue&, const std::string&);
+template std::int64_t require_integer<std::int64_t>(const JsonValue&, const std::string&);
+template std::uint64_t require_integer<std::uint64_t>(const JsonValue&, const std::string&);
 
 }  // namespace rupam

@@ -1,10 +1,13 @@
-// Minimal JSON parser for configuration inputs (fleet specs). The repo
-// deliberately has no third-party dependencies, so this implements just
-// the JSON value model: objects, arrays, strings, numbers, bool, null.
-// Strict where it matters for config files — trailing garbage, duplicate
-// keys and malformed literals are errors with position information.
+// Minimal JSON parser for configuration inputs (run, fleet, sweep specs,
+// checkpoints). The repo deliberately has no third-party dependencies, so
+// this implements just the JSON value model: objects, arrays, strings,
+// numbers, bool, null. Strict where it matters for config files — trailing
+// garbage, duplicate keys, malformed literals, numbers that overflow a
+// double and runaway nesting are errors with position information — plus
+// the strict field readers every spec parser shares.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -66,7 +69,37 @@ class JsonValue {
 };
 
 /// Parse one JSON document; throws JsonParseError on malformed input
-/// (including trailing non-whitespace and duplicate object keys).
+/// (including trailing non-whitespace, duplicate object keys, number
+/// literals beyond double range and nesting deeper than a fixed limit).
 JsonValue parse_json(const std::string& text);
+
+/// Thrown by the require_* readers below. Spec parsers catch it and
+/// rethrow with their own prefix ("run spec: ", "fleet spec: ", ...).
+class JsonFieldError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+// Strict field readers: each checks the value's JSON type and throws
+// JsonFieldError("<what> must be ...") on a mismatch.
+
+/// A finite number.
+double require_number(const JsonValue& v, const std::string& what);
+const std::string& require_string(const JsonValue& v, const std::string& what);
+bool require_bool(const JsonValue& v, const std::string& what);
+const JsonValue::Array& require_array(const JsonValue& v, const std::string& what);
+
+/// An integral number within T's range, checked before the cast.
+/// Instantiated for int, std::int64_t and std::uint64_t.
+template <class T>
+T require_integer(const JsonValue& v, const std::string& what);
+
+inline int require_int(const JsonValue& v, const std::string& what) {
+  return require_integer<int>(v, what);
+}
+
+inline std::uint64_t require_u64(const JsonValue& v, const std::string& what) {
+  return require_integer<std::uint64_t>(v, what);
+}
 
 }  // namespace rupam

@@ -1,6 +1,5 @@
 #include "replay/checkpoint.hpp"
 
-#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -18,13 +17,6 @@ constexpr const char* kFormatTag = "rupam-checkpoint-v1";
   throw std::runtime_error("checkpoint: " + message);
 }
 
-long long require_integer(const JsonValue& v, const std::string& what) {
-  if (!v.is_number()) cp_error(what + " must be a number");
-  double d = v.as_number();
-  if (d != std::floor(d)) cp_error(what + " must be an integer");
-  return static_cast<long long>(d);
-}
-
 DecisionPin parse_pin(const JsonValue& v, std::size_t index) {
   const std::string what = "pins[" + std::to_string(index) + "]";
   if (!v.is_array() || v.as_array().size() != 4) {
@@ -32,10 +24,10 @@ DecisionPin parse_pin(const JsonValue& v, std::size_t index) {
   }
   const JsonValue::Array& a = v.as_array();
   DecisionPin pin;
-  pin.stage = static_cast<StageId>(require_integer(a[0], what + " stage"));
-  pin.task = static_cast<TaskId>(require_integer(a[1], what + " task"));
-  pin.attempt = static_cast<AttemptId>(require_integer(a[2], what + " attempt"));
-  pin.node = static_cast<NodeId>(require_integer(a[3], what + " node"));
+  pin.stage = require_integer<StageId>(a[0], what + " stage");
+  pin.task = require_integer<TaskId>(a[1], what + " task");
+  pin.attempt = require_integer<AttemptId>(a[2], what + " attempt");
+  pin.node = require_integer<NodeId>(a[3], what + " node");
   return pin;
 }
 
@@ -84,32 +76,34 @@ Checkpoint parse_checkpoint_json(const std::string& text) {
   if (!doc.is_object()) cp_error("top level must be an object");
   Checkpoint cp;
   bool have_format = false, have_run = false, have_time = false;
-  for (const auto& [key, value] : doc.as_object()) {
-    if (key == "format") {
-      if (!value.is_string() || value.as_string() != kFormatTag) {
-        cp_error("format must be \"" + std::string(kFormatTag) + "\"");
+  try {
+    for (const auto& [key, value] : doc.as_object()) {
+      if (key == "format") {
+        if (!value.is_string() || value.as_string() != kFormatTag) {
+          cp_error("format must be \"" + std::string(kFormatTag) + "\"");
+        }
+        have_format = true;
+      } else if (key == "time") {
+        cp.time = require_number(value, "time");
+        if (cp.time < 0.0) cp_error("time must be >= 0");
+        have_time = true;
+      } else if (key == "run") {
+        try {
+          cp.run = parse_run_spec_value(value);
+        } catch (const std::exception& e) {
+          cp_error(std::string("run: ") + e.what());
+        }
+        have_run = true;
+      } else if (key == "pins") {
+        const JsonValue::Array& pins = require_array(value, "pins");
+        cp.pins.reserve(pins.size());
+        for (std::size_t i = 0; i < pins.size(); ++i) cp.pins.push_back(parse_pin(pins[i], i));
+      } else {
+        cp_error("unknown key '" + key + "'");
       }
-      have_format = true;
-    } else if (key == "time") {
-      if (!value.is_number()) cp_error("time must be a number");
-      cp.time = value.as_number();
-      if (cp.time < 0.0) cp_error("time must be >= 0");
-      have_time = true;
-    } else if (key == "run") {
-      try {
-        cp.run = parse_run_spec_value(value);
-      } catch (const std::exception& e) {
-        cp_error(std::string("run: ") + e.what());
-      }
-      have_run = true;
-    } else if (key == "pins") {
-      if (!value.is_array()) cp_error("pins must be an array");
-      const JsonValue::Array& pins = value.as_array();
-      cp.pins.reserve(pins.size());
-      for (std::size_t i = 0; i < pins.size(); ++i) cp.pins.push_back(parse_pin(pins[i], i));
-    } else {
-      cp_error("unknown key '" + key + "'");
     }
+  } catch (const JsonFieldError& e) {
+    cp_error(e.what());
   }
   if (!have_format) cp_error("missing \"format\"");
   if (!have_time) cp_error("missing \"time\"");

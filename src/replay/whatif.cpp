@@ -1,7 +1,6 @@
 #include "replay/whatif.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <exception>
 #include <map>
 #include <sstream>
@@ -21,38 +20,27 @@ namespace {
   throw std::runtime_error("whatif: " + message);
 }
 
-long long require_integer(const JsonValue& v, const std::string& what) {
-  if (!v.is_number()) whatif_error(what + " must be a number");
-  double d = v.as_number();
-  if (d != std::floor(d)) whatif_error(what + " must be an integer");
-  return static_cast<long long>(d);
-}
-
 DiagnosedStraggler parse_straggler(const JsonValue& v, std::size_t index) {
   const std::string what = "stragglers[" + std::to_string(index) + "]";
   if (!v.is_object()) whatif_error(what + " must be an object");
   DiagnosedStraggler s;
   for (const auto& [key, value] : v.as_object()) {
     if (key == "stage") {
-      s.stage = static_cast<StageId>(require_integer(value, what + ".stage"));
+      s.stage = require_integer<StageId>(value, what + ".stage");
     } else if (key == "task") {
-      s.task = static_cast<TaskId>(require_integer(value, what + ".task"));
+      s.task = require_integer<TaskId>(value, what + ".task");
     } else if (key == "attempt") {
-      s.attempt = static_cast<AttemptId>(require_integer(value, what + ".attempt"));
+      s.attempt = require_integer<AttemptId>(value, what + ".attempt");
     } else if (key == "node") {
-      s.node = static_cast<NodeId>(require_integer(value, what + ".node"));
+      s.node = require_integer<NodeId>(value, what + ".node");
     } else if (key == "duration") {
-      if (!value.is_number()) whatif_error(what + ".duration must be a number");
-      s.duration = value.as_number();
+      s.duration = require_number(value, what + ".duration");
     } else if (key == "stage_median") {
-      if (!value.is_number()) whatif_error(what + ".stage_median must be a number");
-      s.stage_median = value.as_number();
+      s.stage_median = require_number(value, what + ".stage_median");
     } else if (key == "cause") {
-      if (!value.is_string()) whatif_error(what + ".cause must be a string");
-      s.cause = value.as_string();
+      s.cause = require_string(value, what + ".cause");
     } else if (key == "detail") {
-      if (!value.is_string()) whatif_error(what + ".detail must be a string");
-      s.detail = value.as_string();
+      s.detail = require_string(value, what + ".detail");
     } else if (key == "node_class" || key == "ratio") {
       // Present in the document, irrelevant to branch generation.
     } else {
@@ -124,11 +112,14 @@ std::vector<DiagnosedStraggler> parse_diagnosis_stragglers(const std::string& te
   if (!doc.is_object()) whatif_error("diagnosis must be an object");
   const JsonValue* stragglers = doc.find("stragglers");
   if (stragglers == nullptr) whatif_error("diagnosis has no \"stragglers\" array");
-  if (!stragglers->is_array()) whatif_error("\"stragglers\" must be an array");
   std::vector<DiagnosedStraggler> out;
-  const JsonValue::Array& rows = stragglers->as_array();
-  out.reserve(rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) out.push_back(parse_straggler(rows[i], i));
+  try {
+    const JsonValue::Array& rows = require_array(*stragglers, "\"stragglers\"");
+    out.reserve(rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) out.push_back(parse_straggler(rows[i], i));
+  } catch (const JsonFieldError& e) {
+    whatif_error(e.what());
+  }
   return out;
 }
 

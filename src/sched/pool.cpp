@@ -12,6 +12,12 @@ std::string_view to_string(PoolPolicy policy) {
   return "?";
 }
 
+std::optional<PoolPolicy> pool_policy_from_name(std::string_view name) {
+  if (name == "fifo") return PoolPolicy::kFifo;
+  if (name == "fair") return PoolPolicy::kFair;
+  return std::nullopt;
+}
+
 const PoolSpec& PoolConfig::spec(const std::string& name) const {
   static const PoolSpec kDefault{};
   auto it = pools.find(name);

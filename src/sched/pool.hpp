@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,9 @@ enum class PoolPolicy {
 };
 
 std::string_view to_string(PoolPolicy policy);
+
+/// Map a spec/CLI name (fifo|fair) to its policy; nullopt for unknown names.
+std::optional<PoolPolicy> pool_policy_from_name(std::string_view name);
 
 /// One pool's fair-share parameters (fairscheduler.xml <pool> entry).
 struct PoolSpec {

@@ -144,108 +144,74 @@ FleetSpec sweep_fleet_spec(int nodes, std::uint64_t base_seed) {
   return scaled_hydra_fleet(nodes, sweep_mix64(base_seed ^ static_cast<std::uint64_t>(nodes)));
 }
 
-namespace {
-
-double require_number(const JsonValue& v, const std::string& what) {
-  if (!v.is_number()) spec_error(what + " must be a number");
-  return v.as_number();
-}
-
-std::uint64_t require_u64(const JsonValue& v, const std::string& what) {
-  double d = require_number(v, what);
-  if (d < 0.0) spec_error(what + " must be >= 0");
-  return static_cast<std::uint64_t>(d);
-}
-
-int require_int(const JsonValue& v, const std::string& what) {
-  double d = require_number(v, what);
-  int i = static_cast<int>(d);
-  if (static_cast<double>(i) != d) spec_error(what + " must be an integer");
-  return i;
-}
-
-const std::string& require_string(const JsonValue& v, const std::string& what) {
-  if (!v.is_string()) spec_error(what + " must be a string");
-  return v.as_string();
-}
-
-const JsonValue::Array& require_array(const JsonValue& v, const std::string& what) {
-  if (!v.is_array()) spec_error(what + " must be an array");
-  return v.as_array();
-}
-
-}  // namespace
-
 SweepSpec parse_sweep_json(const std::string& text) {
   JsonValue root = parse_json(text);
   if (!root.is_object()) spec_error("top level must be an object");
   SweepSpec spec;
-  for (const auto& [key, value] : root.as_object()) {
-    if (key == "name") {
-      spec.name = require_string(value, "name");
-    } else if (key == "base_seed") {
-      spec.base_seed = require_u64(value, "base_seed");
-    } else if (key == "replications") {
-      spec.replications = require_int(value, "replications");
-    } else if (key == "schedulers") {
-      spec.schedulers.clear();
-      for (const JsonValue& v : require_array(value, "schedulers")) {
-        const std::string& name = require_string(v, "schedulers entry");
-        auto kind = scheduler_kind_from_name(name);
-        if (!kind) spec_error("unknown scheduler '" + name + "'");
-        spec.schedulers.push_back(*kind);
-      }
-    } else if (key == "fleet_sizes") {
-      spec.fleet_sizes.clear();
-      for (const JsonValue& v : require_array(value, "fleet_sizes")) {
-        spec.fleet_sizes.push_back(require_int(v, "fleet_sizes entry"));
-      }
-    } else if (key == "arrival_rates") {
-      spec.arrival_rates.clear();
-      for (const JsonValue& v : require_array(value, "arrival_rates")) {
-        spec.arrival_rates.push_back(require_number(v, "arrival_rates entry"));
-      }
-    } else if (key == "fault_plans") {
-      spec.fault_plans.clear();
-      for (const JsonValue& v : require_array(value, "fault_plans")) {
-        spec.fault_plans.push_back(require_string(v, "fault_plans entry"));
-      }
-    } else if (key == "elastic") {
-      spec.elastic_modes.clear();
-      for (const JsonValue& v : require_array(value, "elastic")) {
-        spec.elastic_modes.push_back(require_string(v, "elastic entry"));
-      }
-    } else if (key == "duration") {
-      spec.duration = require_number(value, "duration");
-    } else if (key == "tenants") {
-      spec.tenants = require_int(value, "tenants");
-    } else if (key == "pool_policy") {
-      const std::string& name = require_string(value, "pool_policy");
-      if (name == "fifo") {
-        spec.pool_policy = PoolPolicy::kFifo;
-      } else if (name == "fair") {
-        spec.pool_policy = PoolPolicy::kFair;
+  try {
+    for (const auto& [key, value] : root.as_object()) {
+      if (key == "name") {
+        spec.name = require_string(value, "name");
+      } else if (key == "base_seed") {
+        spec.base_seed = require_u64(value, "base_seed");
+      } else if (key == "replications") {
+        spec.replications = require_int(value, "replications");
+      } else if (key == "schedulers") {
+        spec.schedulers.clear();
+        for (const JsonValue& v : require_array(value, "schedulers")) {
+          const std::string& name = require_string(v, "schedulers entry");
+          auto kind = scheduler_kind_from_name(name);
+          if (!kind) spec_error("unknown scheduler '" + name + "'");
+          spec.schedulers.push_back(*kind);
+        }
+      } else if (key == "fleet_sizes") {
+        spec.fleet_sizes.clear();
+        for (const JsonValue& v : require_array(value, "fleet_sizes")) {
+          spec.fleet_sizes.push_back(require_int(v, "fleet_sizes entry"));
+        }
+      } else if (key == "arrival_rates") {
+        spec.arrival_rates.clear();
+        for (const JsonValue& v : require_array(value, "arrival_rates")) {
+          spec.arrival_rates.push_back(require_number(v, "arrival_rates entry"));
+        }
+      } else if (key == "fault_plans") {
+        spec.fault_plans.clear();
+        for (const JsonValue& v : require_array(value, "fault_plans")) {
+          spec.fault_plans.push_back(require_string(v, "fault_plans entry"));
+        }
+      } else if (key == "elastic") {
+        spec.elastic_modes.clear();
+        for (const JsonValue& v : require_array(value, "elastic")) {
+          spec.elastic_modes.push_back(require_string(v, "elastic entry"));
+        }
+      } else if (key == "duration") {
+        spec.duration = require_number(value, "duration");
+      } else if (key == "tenants") {
+        spec.tenants = require_int(value, "tenants");
+      } else if (key == "pool_policy") {
+        const std::string& name = require_string(value, "pool_policy");
+        auto policy = pool_policy_from_name(name);
+        if (!policy) spec_error("unknown pool_policy '" + name + "'");
+        spec.pool_policy = *policy;
+      } else if (key == "mix") {
+        spec.mix.clear();
+        for (const JsonValue& v : require_array(value, "mix")) {
+          spec.mix.push_back(require_string(v, "mix entry"));
+        }
+      } else if (key == "iterations") {
+        spec.iterations_override = require_int(value, "iterations");
+      } else if (key == "max_apps") {
+        spec.max_apps = require_u64(value, "max_apps");
+      } else if (key == "sample_utilization") {
+        spec.sample_utilization = require_bool(value, "sample_utilization");
+      } else if (key == "analyze") {
+        spec.analyze = require_bool(value, "analyze");
       } else {
-        spec_error("unknown pool_policy '" + name + "'");
+        spec_error("unknown key '" + key + "'");
       }
-    } else if (key == "mix") {
-      spec.mix.clear();
-      for (const JsonValue& v : require_array(value, "mix")) {
-        spec.mix.push_back(require_string(v, "mix entry"));
-      }
-    } else if (key == "iterations") {
-      spec.iterations_override = require_int(value, "iterations");
-    } else if (key == "max_apps") {
-      spec.max_apps = static_cast<std::size_t>(require_u64(value, "max_apps"));
-    } else if (key == "sample_utilization") {
-      if (!value.is_bool()) spec_error("sample_utilization must be a bool");
-      spec.sample_utilization = value.as_bool();
-    } else if (key == "analyze") {
-      if (!value.is_bool()) spec_error("analyze must be a bool");
-      spec.analyze = value.as_bool();
-    } else {
-      spec_error("unknown key '" + key + "'");
     }
+  } catch (const JsonFieldError& e) {
+    spec_error(e.what());
   }
   spec.validate();
   return spec;

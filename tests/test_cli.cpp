@@ -147,6 +147,12 @@ TEST(Cli, RejectsBadInput) {
   EXPECT_FALSE(parse({"--repetitions", "0"}).has_value());
   EXPECT_FALSE(parse({"--iterations", "-1"}).has_value());
   EXPECT_FALSE(parse({"--what"}).has_value());
+  // Numeric values must parse whole and finite; no silent wrap-around.
+  EXPECT_FALSE(parse({"--seed", "abc"}).has_value());
+  EXPECT_FALSE(parse({"--iterations", "2x"}).has_value());
+  EXPECT_FALSE(parse({"--repetitions", "1e3"}).has_value());
+  EXPECT_FALSE(parse({"--arrivals", "nan"}).has_value());
+  EXPECT_FALSE(parse({"--chaos", "-1"}).has_value());
 }
 
 TEST(Cli, HelpAndList) {

@@ -158,6 +158,10 @@ TEST(Fleet, ParserRejectsMalformedJson) {
       std::runtime_error);
   EXPECT_THROW(parse_fleet_json(R"({"name": "x", "seed": -1, "classes": []})"),
                std::runtime_error);
+  // Out of int range: rejected before the cast.
+  EXPECT_THROW(
+      parse_fleet_json(R"({"name": "x", "classes": [{"name": "a", "base": "thor", "count": 1e12}]})"),
+      std::runtime_error);
 }
 
 TEST(Fleet, ScaledFleetRejectsTinyCounts) {

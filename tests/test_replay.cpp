@@ -114,14 +114,14 @@ TEST(ReplayRunSpec, RejectsInvalidFields) {
   RunSpec unknown_workload;
   unknown_workload.workload = "NoSuchWorkload";
   EXPECT_THROW(unknown_workload.validate(), std::runtime_error);
-}
-
-TEST(ReplayRunSpec, CliProjectionRoundTrips) {
-  RunSpec spec = sql_on_pair();
-  spec.seed = 9;
-  spec.faults = "crash@50:node=0:down=40";
-  RunSpec back = run_spec_from_cli(cli_from_run_spec(spec));
-  EXPECT_EQ(run_spec_to_json(back), run_spec_to_json(spec));
+  // Numbers must fit their field before any cast, and parse_json refuses
+  // literals beyond double range and runaway nesting (no stack overflow).
+  EXPECT_THROW(parse_run_spec_json(R"({"seed": 1e400})"), std::runtime_error);
+  EXPECT_THROW(parse_run_spec_json(R"({"iterations": 1e10})"), std::runtime_error);
+  EXPECT_THROW(parse_run_spec_json(R"({"seed": 2e19})"), std::runtime_error);
+  const std::size_t depth = 200000;
+  EXPECT_THROW(parse_run_spec_json(std::string(depth, '[') + std::string(depth, ']')),
+               std::runtime_error);
 }
 
 TEST(ReplayRunSpec, ConfigFlagLoadsAndFlagsOverride) {
@@ -147,6 +147,22 @@ TEST(ReplayRunSpec, ConfigFlagLoadsAndFlagsOverride) {
 
   auto bad = parse_cli({"--config", temp_path("replay_no_such_file.json")}, err);
   EXPECT_FALSE(bad.has_value());
+
+  // An explicit --fleet PATH beats the spec's embedded fleet_spec, in
+  // either argument order.
+  RunSpec embedded = sql_on_pair();
+  std::string embedded_path = temp_path("replay_runspec_embedded_fleet.json");
+  write_file(embedded_path, run_spec_to_json(embedded));
+  for (const auto& args : {std::vector<std::string>{"--config", embedded_path, "--fleet", "f.json"},
+                           std::vector<std::string>{"--fleet", "f.json", "--config", embedded_path}}) {
+    auto fleet_opts = parse_cli(args, err);
+    ASSERT_TRUE(fleet_opts.has_value()) << err.str();
+    EXPECT_EQ(fleet_opts->fleet, "f.json");
+    EXPECT_FALSE(fleet_opts->fleet_spec.has_value());
+  }
+  auto kept = parse_cli({"--config", embedded_path}, err);
+  ASSERT_TRUE(kept.has_value()) << err.str();
+  EXPECT_TRUE(kept->fleet_spec.has_value());
 }
 
 // --------------------------------------------------------------------------

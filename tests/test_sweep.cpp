@@ -130,6 +130,7 @@ TEST(SweepSpec, ParserRejectsUnknownKeysAndBadValues) {
   EXPECT_THROW(parse_sweep_json(R"({"replications": 2.5})"), std::runtime_error);
   EXPECT_THROW(parse_sweep_json(R"({"replications": 0})"), std::runtime_error);
   EXPECT_THROW(parse_sweep_json(R"([1, 2])"), std::runtime_error);
+  EXPECT_THROW(parse_sweep_json(R"({"max_apps": 1e400})"), std::runtime_error);
 }
 
 // ---------------------------------------------------------------- seeds --
