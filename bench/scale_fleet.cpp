@@ -7,13 +7,17 @@
 // paper's "Spark is slower" — the wrong failure mode for a dispatch-cost
 // bench.
 //
-// Two regression gates (nonzero exit):
+// Regression gates (nonzero exit):
 //  * wall-clock: every run must finish within the per-run budget — a
 //    superlinear dispatch path reappears here long before CI times out;
 //  * work counters: at the largest swept N, the indexed dispatch paths
 //    must examine at least 10x fewer tasks than a full nodes-x-tasks
 //    rescan per round would (DispatchWorkCounters.full_scan_equivalent /
-//    task_checks >= 10).
+//    task_checks >= 10);
+//  * node visits: at the largest swept N, FIFO and Spark visit at most 2
+//    nodes per launch — rounds with nothing launchable skip the node walk;
+//  * events/s: when N=100 and N=1000 are both swept, FIFO and Spark keep
+//    at least half their N=100 events/s at N=1000.
 //
 // Speculation is disabled for the sweep: its straggler scan is a separate
 // subsystem with its own (per-stage) cost model, and leaving it on would
@@ -28,12 +32,15 @@
 
 #include "bench_common.hpp"
 #include "cluster/fleet.hpp"
+#include "common/stats.hpp"
 #include "simcore/kernel_stats.hpp"
 #include "workloads/presets.hpp"
 
 namespace {
 
 constexpr double kMinScanReduction = 10.0;
+constexpr double kMaxNodeVisitsPerLaunch = 2.0;
+constexpr double kMinEventsPerSRatio = 0.5;
 
 struct RunResult {
   int nodes = 0;
@@ -51,6 +58,15 @@ struct RunResult {
     return static_cast<double>(work.full_scan_equivalent) /
            static_cast<double>(std::max<std::size_t>(1, work.task_checks));
   }
+  double node_visits_per_launch() const {
+    return static_cast<double>(work.node_visits) /
+           static_cast<double>(std::max<std::size_t>(1, launches));
+  }
+  double events_per_s() const {
+    return wall_ms > 0.0 ? static_cast<double>(events) / (wall_ms / 1000.0) : 0.0;
+  }
+  /// The schedulers whose dispatch walks free nodes (node-visit gates).
+  bool node_walker() const { return scheduler == "FIFO" || scheduler == "Spark"; }
 };
 
 }  // namespace
@@ -87,48 +103,60 @@ int main(int argc, char** argv) {
     WorkloadPreset preset = base_preset;
     preset.input_gb = 0.5 * static_cast<double>(n);
 
+    // Sub-10 ms runs are at the mercy of one preemption on a shared host,
+    // so fleets up to 100 nodes are timed as the median of several
+    // identical runs (the simulation is deterministic; only host time
+    // differs between them).
+    const int repeats = n <= 100 ? 5 : 1;
     for (SchedulerKind kind : kinds) {
       SimulationConfig cfg;
       cfg.scheduler = kind;
       cfg.nodes = fleet_nodes;
       if (spec.switch_bandwidth > 0.0) cfg.switch_bandwidth = spec.switch_bandwidth;
       cfg.speculation.enabled = false;
-      Simulation sim(cfg);
-      Application app =
-          build_workload(preset, sim.cluster().node_ids(), /*seed=*/1,
-                         /*iterations_override=*/0, hdfs_placement_weights(sim.cluster()));
-
-      std::cerr << "[scale_fleet] N=" << n << " " << sim.scheduler().name() << " ...\n";
-      auto t0 = std::chrono::steady_clock::now();
       RunResult r;
-      r.makespan = sim.run(app);
-      auto t1 = std::chrono::steady_clock::now();
-      r.kernel = sim.sim().stats();
-      r.nodes = n;
-      r.scheduler = sim.scheduler().name();
-      r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-      r.events = sim.sim().executed_events();
-      r.peak_queue = sim.sim().peak_pending_events();
-      r.queue_allocs = r.kernel.arena_slot_allocs + r.kernel.callback_heap_allocs;
-      r.launches = sim.scheduler().launches();
-      r.work = sim.scheduler().dispatch_work();
-      if (r.wall_ms > budget_s * 1000.0) over_budget = true;
+      std::vector<double> walls_ms;
+      for (int rep = 0; rep < repeats; ++rep) {
+        Simulation sim(cfg);
+        Application app =
+            build_workload(preset, sim.cluster().node_ids(), /*seed=*/1,
+                           /*iterations_override=*/0, hdfs_placement_weights(sim.cluster()));
+
+        if (rep == 0) {
+          std::cerr << "[scale_fleet] N=" << n << " " << sim.scheduler().name() << " ...\n";
+        }
+        auto t0 = std::chrono::steady_clock::now();
+        r.makespan = sim.run(app);
+        auto t1 = std::chrono::steady_clock::now();
+        walls_ms.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());
+        r.kernel = sim.sim().stats();
+        r.nodes = n;
+        r.scheduler = sim.scheduler().name();
+        r.events = sim.sim().executed_events();
+        r.peak_queue = sim.sim().peak_pending_events();
+        r.queue_allocs = r.kernel.arena_slot_allocs + r.kernel.callback_heap_allocs;
+        r.launches = sim.scheduler().launches();
+        r.work = sim.scheduler().dispatch_work();
+        if (walls_ms.back() > budget_s * 1000.0) over_budget = true;
+      }
+      r.wall_ms = percentile_inplace(walls_ms, 50.0);
       results.push_back(r);
     }
   }
 
   TextTable table({"Nodes", "Scheduler", "Makespan (s)", "Wall (ms)", "Events", "Events/s",
-                   "Task checks", "Full-scan equiv", "Reduction"});
+                   "Task checks", "Full-scan equiv", "Reduction", "Node visits",
+                   "Visits/launch"});
   bench::JsonReport json("scale_fleet");
   for (const RunResult& r : results) {
     json.record_kernel(r.kernel);
-    double events_per_s =
-        r.wall_ms > 0.0 ? static_cast<double>(r.events) / (r.wall_ms / 1000.0) : 0.0;
+    double events_per_s = r.events_per_s();
     table.add_row({std::to_string(r.nodes), r.scheduler, format_fixed(r.makespan, 1),
                    format_fixed(r.wall_ms, 1), std::to_string(r.events),
                    format_fixed(events_per_s, 0), std::to_string(r.work.task_checks),
                    std::to_string(r.work.full_scan_equivalent),
-                   format_fixed(r.scan_reduction(), 1) + "x"});
+                   format_fixed(r.scan_reduction(), 1) + "x", std::to_string(r.work.node_visits),
+                   format_fixed(r.node_visits_per_launch(), 2)});
     std::string prefix = "n" + std::to_string(r.nodes) + "_" + r.scheduler;
     json.add(prefix + "_wall_ms", r.wall_ms);
     json.add(prefix + "_peak_queue", static_cast<double>(r.peak_queue));
@@ -141,6 +169,8 @@ int main(int argc, char** argv) {
     json.add(prefix + "_task_checks", static_cast<double>(r.work.task_checks));
     json.add(prefix + "_full_scan_equivalent", static_cast<double>(r.work.full_scan_equivalent));
     json.add(prefix + "_scan_reduction", r.scan_reduction());
+    json.add(prefix + "_node_visits", static_cast<double>(r.work.node_visits));
+    json.add(prefix + "_node_visits_per_launch", r.node_visits_per_launch());
   }
   table.print(std::cout);
   json.add("max_nodes_swept", static_cast<double>(largest));
@@ -153,6 +183,7 @@ int main(int argc, char** argv) {
               << "s wall-clock budget — dispatch cost is growing superlinearly\n";
     ++failures;
   }
+  std::string ratios;  // events/s at the largest N relative to N=100
   for (const RunResult& r : results) {
     if (r.nodes != largest) continue;
     if (r.scan_reduction() < kMinScanReduction) {
@@ -163,10 +194,35 @@ int main(int argc, char** argv) {
                 << "x) — the dispatch indexes are not being used\n";
       ++failures;
     }
+    if (r.node_walker() && r.node_visits_per_launch() > kMaxNodeVisitsPerLaunch) {
+      std::cerr << "FAIL: " << r.scheduler << " at " << largest << " nodes visited "
+                << format_fixed(r.node_visits_per_launch(), 2) << " nodes per launch (> "
+                << format_fixed(kMaxNodeVisitsPerLaunch, 0)
+                << ") — dispatch walks free nodes on rounds that cannot launch\n";
+      ++failures;
+    }
+    // Reported when N=100 and a larger N were both swept; gated for the
+    // node walkers only.
+    for (const RunResult& base : results) {
+      if (largest == 100 || base.nodes != 100 || base.scheduler != r.scheduler ||
+          base.events_per_s() <= 0.0) {
+        continue;
+      }
+      double ratio = r.events_per_s() / base.events_per_s();
+      ratios += " " + r.scheduler + " " + format_fixed(ratio, 2) + "x";
+      if (r.node_walker() && ratio < kMinEventsPerSRatio) {
+        std::cerr << "FAIL: " << r.scheduler << " events/s at " << largest << " nodes is "
+                  << format_fixed(ratio, 2) << "x its N=100 rate (< "
+                  << format_fixed(kMinEventsPerSRatio, 1) << "x)\n";
+        ++failures;
+      }
+    }
   }
   if (failures > 0) return 1;
-  std::cout << "\nReading: per-offer work is bounded by the indexed candidate sets, so\n"
-               "events/s stays flat as the fleet grows instead of collapsing with\n"
-               "O(nodes x tasks) rescans per dispatch round.\n";
+  if (!ratios.empty()) {
+    std::cout << "\nEvents/s at N=" << largest << " relative to N=100:" << ratios
+              << "\nFIFO and Spark are gated at >= " << format_fixed(kMinEventsPerSRatio, 1)
+              << "x; RUPAM and StageAware are reported only.\n";
+  }
   return 0;
 }

@@ -11,13 +11,16 @@ CapabilityScheduler::CapabilityScheduler(SchedulerEnv env, Config config)
     : SchedulerBase(std::move(env)), config_(config) {}
 
 ResourceKind CapabilityScheduler::stage_bottleneck(const std::string& stage_name) const {
-  auto it = profiles_.find(stage_name);
-  if (it == profiles_.end() || it->second.samples == 0) {
+  return stage_bottleneck(stage_names_.find(stage_name));
+}
+
+ResourceKind CapabilityScheduler::stage_bottleneck(StageNameId name) const {
+  if (!name.valid() || profiles_[name.index()].samples == 0) {
     // No evidence yet: assume generic computation (the assumption the
     // paper's motivational study falsifies).
     return ResourceKind::kCpu;
   }
-  const StageProfileEstimate& p = it->second;
+  const StageProfileEstimate& p = profiles_[name.index()];
   double n = static_cast<double>(p.samples);
   if (p.gpu) return ResourceKind::kGpu;
   double compute = p.compute / n;
@@ -28,9 +31,23 @@ ResourceKind CapabilityScheduler::stage_bottleneck(const std::string& stage_name
   return ResourceKind::kDisk;
 }
 
+StageNameId CapabilityScheduler::name_of(const StageState& stage) const {
+  return active_names_.at(stage.set.stage);
+}
+
+void CapabilityScheduler::stage_submitted(StageState& stage) {
+  StageNameId name = stage_names_.intern(stage.set.stage_name);
+  if (profiles_.size() < stage_names_.size()) profiles_.resize(stage_names_.size());
+  active_names_[stage.set.stage] = name;
+}
+
+void CapabilityScheduler::stage_removed(StageState& stage) {
+  active_names_.erase(stage.set.stage);
+}
+
 void CapabilityScheduler::task_succeeded(StageState& stage, TaskState&,
                                          const TaskMetrics& metrics) {
-  StageProfileEstimate& p = profiles_[stage.set.stage_name];
+  StageProfileEstimate& p = profiles_[name_of(stage).index()];
   ++p.samples;
   p.compute += metrics.compute_time;
   p.shuffle_read += metrics.shuffle_read_time;
@@ -83,7 +100,7 @@ void CapabilityScheduler::try_dispatch() {
       // ("nodes are ranked by capability, tasks are interchangeable").
       TaskState* next = next_launchable(stage);
       if (next == nullptr) continue;
-      ResourceKind kind = stage_bottleneck(stage.set.stage_name);
+      ResourceKind kind = stage_bottleneck(name_of(stage));
       // The audit exposes the rank index and full candidate list, so only
       // rank every node while an audit sink is attached; the fast path
       // ranks just the maybe-free set (same comparator, same winner).
@@ -117,14 +134,15 @@ void CapabilityScheduler::try_dispatch() {
     if (it == stages_.end()) continue;
     StageState& stage = it->second;
     TaskState& task = stage.tasks[task_index];
-    for (NodeId node : ranked_free_nodes(stage_bottleneck(stage.set.stage_name))) {
+    ResourceKind kind = stage_bottleneck(name_of(stage));
+    for (NodeId node : ranked_free_nodes(kind)) {
       Executor* exec = executor(node);
       if (exec == nullptr || exec->free_slots() <= 0 || !node_usable(node)) continue;
       if (task.has_attempt_on(node)) continue;
       if (audit_enabled()) {
         Explain e;
         e.reason = "capability_speculative";
-        e.detail = "tag=" + std::string(to_string(stage_bottleneck(stage.set.stage_name)));
+        e.detail = "tag=" + std::string(to_string(kind));
         e.candidates = 1;
         e.candidate_nodes = {node};
         explain_next_launch(std::move(e));

@@ -13,7 +13,9 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
+#include "common/symbol.hpp"
 #include "sched/rupam/task_manager.hpp"
 #include "sched/scheduler.hpp"
 
@@ -45,9 +47,15 @@ class CapabilityScheduler : public SchedulerBase {
 
  protected:
   void try_dispatch() override;
+  void stage_submitted(StageState& stage) override;
+  void stage_removed(StageState& stage) override;
   void task_succeeded(StageState& stage, TaskState& task, const TaskMetrics& metrics) override;
 
  private:
+  /// Dispatch-path form: the profile is one array read, no string hashing.
+  ResourceKind stage_bottleneck(StageNameId name) const;
+  /// Interned name of an active stage (recorded at submit).
+  StageNameId name_of(const StageState& stage) const;
   /// Nodes ordered best-first for `kind`, by static capability then load.
   std::vector<NodeId> ranked_nodes(ResourceKind kind) const;
   /// Same ranking restricted to nodes with a free slot (the maybe-free
@@ -57,7 +65,10 @@ class CapabilityScheduler : public SchedulerBase {
   const std::vector<NodeId>& ranked_free_nodes(ResourceKind kind);
 
   Config config_;
-  std::map<std::string, StageProfileEstimate> profiles_;
+  /// Stage names interned once per submit; profiles are dense by id.
+  TypedSymbolTable<StageNameTag> stage_names_;
+  std::vector<StageProfileEstimate> profiles_;
+  std::map<StageId, StageNameId> active_names_;
   // Dispatch-path scratch: capacity persists across rounds.
   std::vector<std::pair<double, NodeId>> scored_scratch_;
   std::vector<NodeId> ranked_scratch_;

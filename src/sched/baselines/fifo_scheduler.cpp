@@ -8,8 +8,10 @@ void FifoScheduler::try_dispatch() {
   bool progressed = true;
   while (progressed) {
     progressed = false;
-    const std::vector<StageState*>& ordered = schedulable_stages();
     NodeId start = static_cast<NodeId>(rotation_ % n);
+    std::size_t rotation = rotation_++;
+    if (!any_launchable()) break;  // no offer could take a task
+    const std::vector<StageState*>& ordered = schedulable_stages();
     for_each_ready_node(start, [&](NodeId node, Executor&) {
       for (StageState* sp : ordered) {
         StageState& stage = *sp;
@@ -18,7 +20,7 @@ void FifoScheduler::try_dispatch() {
         if (audit_enabled()) {
           Explain e;
           e.reason = "fifo_first_free_slot";
-          e.detail = "rotation=" + std::to_string(rotation_ % n);
+          e.detail = "rotation=" + std::to_string(rotation % n);
           e.candidates = 1;
           e.candidate_nodes = {node};
           explain_next_launch(std::move(e));
@@ -31,7 +33,6 @@ void FifoScheduler::try_dispatch() {
       }
       return true;  // one launch per node per pass
     });
-    ++rotation_;
   }
   for (auto [stage_id, task_index] : find_speculatable()) {
     auto it = stages_.find(stage_id);

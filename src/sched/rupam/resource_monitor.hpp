@@ -4,8 +4,15 @@
 // Collectors piggy-back on heartbeats (our HeartbeatService). For each
 // scheduling round it materializes one priority queue per resource type,
 // ordered by capacity/capability descending, then utilization ascending —
-// "most powerful first, least used first". Queues are rebuilt per round,
-// matching the paper's design of emptying them between offer rounds.
+// "most powerful first, least used first" — with a node-id tie-break.
+//
+// Each queue is sorted lazily, at most once between writes: any record,
+// forget, clear or liveness change invalidates every kind. RUPAM seeds the
+// monitor once at the start of a dispatch round and writes nothing more
+// until the round ends, so each kind is sorted at most once per round and
+// then only read — the paper's "build per round, empty between rounds".
+// Admission filters apply on top of the sorted order; because the order is
+// total, filtering it equals sorting the filtered rows.
 //
 // With liveness configured, the heartbeat-path record() overload also
 // stamps last-seen times so the RM can declare silent nodes dead and drop
@@ -13,7 +20,8 @@
 // the base scheduler's blacklist).
 #pragma once
 
-#include <algorithm>
+#include <array>
+#include <cstdint>
 #include <functional>
 #include <unordered_map>
 #include <vector>
@@ -44,46 +52,33 @@ class ResourceMonitor {
   void clear() {
     latest_.clear();
     liveness_.clear();
+    ++version_;
   }
   /// Drop one node's row entirely (decommissioned: no metrics, no liveness
   /// state, never ranked again).
   void forget(NodeId node) {
     latest_.erase(node);
     liveness_.forget(node);
+    ++version_;
   }
 
-  /// The per-resource priority queue: live nodes passing `admit`, best
-  /// first.
+  /// The per-resource priority queue: every live row, best first. Sorted
+  /// on first use after a write and reused until the next one; the
+  /// reference and the row pointers stay valid until the next write.
+  const std::vector<const NodeMetrics*>& queue(ResourceKind kind);
+
+  /// queue(kind) restricted to rows passing `admit` (all rows when null).
   std::vector<NodeId> ranked(ResourceKind kind,
-                             const std::function<bool(const NodeMetrics&)>& admit) const;
-
-  /// Dispatch-path variant of ranked(): identical ordering, but fills
-  /// caller-owned scratch instead of returning a fresh vector, and takes
-  /// the admission predicate as a template parameter so large captures
-  /// never round-trip through std::function's heap fallback.
-  template <class Admit>
-  void ranked_into(ResourceKind kind, Admit&& admit, std::vector<const NodeMetrics*>& rows,
-                   std::vector<NodeId>& out) const {
-    rows.clear();
-    for (const auto& [id, m] : latest_) {
-      if (dead(id)) continue;
-      if (admit(m)) rows.push_back(&m);
-    }
-    std::sort(rows.begin(), rows.end(), [kind](const NodeMetrics* a, const NodeMetrics* b) {
-      double ca = a->capability(kind), cb = b->capability(kind);
-      if (ca != cb) return ca > cb;
-      double ua = a->utilization(kind), ub = b->utilization(kind);
-      if (ua != ub) return ua < ub;
-      return a->node < b->node;  // deterministic tie-break
-    });
-    out.clear();
-    for (const NodeMetrics* row : rows) out.push_back(row->node);
-  }
+                             const std::function<bool(const NodeMetrics&)>& admit);
 
  private:
   std::unordered_map<NodeId, NodeMetrics> latest_;
   NodeLivenessTracker liveness_;
   bool liveness_enabled_ = false;
+  /// Bumped by every write; a queue is current when its stamp matches.
+  std::uint64_t version_ = 1;
+  std::array<std::uint64_t, kNumResourceKinds> sorted_version_{};
+  std::array<std::vector<const NodeMetrics*>, kNumResourceKinds> queues_;
 };
 
 }  // namespace rupam

@@ -164,8 +164,8 @@ const std::vector<RupamScheduler::Row>& RupamScheduler::collect_rows(ResourceKin
     TaskState* task = nullptr;
     if (!resolve(ref, &stage, &task)) return;
     note_task_checks(1);
-    // The ref carries the interned stage name, so the DB lookup hashes one
-    // 64-bit key instead of the stage-name string.
+    // The ref carries the interned stage name, so the DB lookup is two
+    // array reads instead of hashing the stage-name string.
     if (launchable(*task)) {
       rows.push_back(Row{stage, task, false, db_.lookup(ref.name, task->spec.partition)});
       return;
@@ -337,17 +337,29 @@ void RupamScheduler::try_dispatch() {
     };
     bool launched = false;
     if (!rows.empty() || !speculatable().empty()) {
+      // The kind's priority queue is sorted at most once per round (the
+      // monitor is not written until the round ends). Admission is read
+      // lazily while walking it: nothing changes state before the walk
+      // stops at its first launch, so every node is admitted or refused
+      // exactly as an up-front filter of the queue would.
+      const std::vector<const NodeMetrics*>* queue = nullptr;
       {
         OverheadProfiler::Scope profile(profiler(), ProfileSection::kHeapMaintenance);
-        rm_.ranked_into(
-            kind, [this, kind](const NodeMetrics& m) { return node_available(m, kind); },
-            rank_rows_scratch_, ranked_scratch_);
+        queue = &rm_.queue(kind);
       }
-      const std::vector<NodeId>& nodes = ranked_scratch_;
+      if (audit_enabled()) {
+        admitted_scratch_.clear();
+        for (const NodeMetrics* m : *queue) {
+          if (node_available(*m, kind)) admitted_scratch_.push_back(m->node);
+        }
+      }
       // Walk the priority queue until a node accepts a task; launch at
       // most one task per kind-visit so no resource type is starved.
-      for (std::size_t rank = 0; rank < nodes.size(); ++rank) {
-        NodeId node = nodes[rank];
+      std::size_t rank = 0;  // position among admitted nodes
+      for (const NodeMetrics* m : *queue) {
+        if (!node_available(*m, kind)) continue;
+        NodeId node = m->node;
+        std::size_t node_rank = rank++;
         Pick pick = rows.empty() ? Pick{} : pick_from_rows(rows, node);
         bool speculative_copy = false;
         if (pick.task == nullptr) {
@@ -373,9 +385,9 @@ void RupamScheduler::try_dispatch() {
                                       : "rupam_heap_match";
           e.detail = "tag=" + std::string(to_string(tag)) +
                      " queue=" + std::string(to_string(kind)) +
-                     " rank=" + std::to_string(rank);
-          e.candidates = static_cast<int>(nodes.size());
-          e.candidate_nodes = nodes;
+                     " rank=" + std::to_string(node_rank);
+          e.candidates = static_cast<int>(admitted_scratch_.size());
+          e.candidate_nodes = admitted_scratch_;
           explain_next_launch(std::move(e));
         }
         if (!launch_task(*pick.stage, *pick.task, node, use_gpu, as_copy, kind)) continue;

@@ -16,6 +16,13 @@
 // from the TaskManager's active queue — within a kind-visit no task state
 // changes until a launch breaks the node walk, so the per-node rebuild of
 // the old code did identical work N times.
+//
+// Node ranking happens once per dispatch round per resource kind: the
+// round seeds the ResourceMonitor and nothing writes it again until the
+// round ends, so each kind's sorted queue is reused by every kind-visit of
+// the round. A kind-visit walks that order and checks admission lazily,
+// stopping at its first launch, so a launch costs the nodes walked before
+// it, not an admit-and-sort of all N.
 #pragma once
 
 #include <map>
@@ -143,8 +150,8 @@ class RupamScheduler : public SchedulerBase {
   /// clearing is O(pools seen this call), not O(all pools ever).
   std::vector<std::vector<DispatchTaskView>> by_pool_;
   std::vector<std::size_t> by_pool_used_;
-  std::vector<const NodeMetrics*> rank_rows_scratch_;
-  std::vector<NodeId> ranked_scratch_;
+  /// Audit only: the admitted nodes of the current kind-visit.
+  std::vector<NodeId> admitted_scratch_;
 };
 
 }  // namespace rupam

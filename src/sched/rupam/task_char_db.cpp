@@ -1,6 +1,7 @@
 #include "sched/rupam/task_char_db.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace rupam {
 namespace {
@@ -15,14 +16,19 @@ double smooth(double old_value, double new_value, int runs) {
 
 StageNameId TaskCharDb::intern_stage(std::string_view stage_name) {
   StageNameId id = stage_names_.intern(stage_name);
-  if (gpu_stages_.size() < stage_names_.size()) gpu_stages_.resize(stage_names_.size(), 0);
+  if (gpu_stages_.size() < stage_names_.size()) {
+    gpu_stages_.resize(stage_names_.size(), 0);
+    slots_.resize(stage_names_.size());
+  }
   return id;
 }
 
 const TaskCharRecord* TaskCharDb::lookup(StageNameId stage, int partition) const {
-  if (!stage.valid()) return nullptr;
-  auto it = records_.find(key(stage, partition));
-  return it == records_.end() ? nullptr : &it->second;
+  if (!stage.valid() || stage.index() >= slots_.size() || partition < 0) return nullptr;
+  const std::vector<std::uint32_t>& slots = slots_[stage.index()];
+  auto p = static_cast<std::size_t>(partition);
+  if (p >= slots.size() || slots[p] == 0) return nullptr;
+  return &records_[slots[p] - 1];
 }
 
 const TaskCharRecord* TaskCharDb::lookup(const std::string& stage_name, int partition) const {
@@ -31,7 +37,15 @@ const TaskCharRecord* TaskCharDb::lookup(const std::string& stage_name, int part
 
 TaskCharRecord& TaskCharDb::update(const std::string& stage_name, int partition,
                                    const TaskMetrics& metrics, ResourceKind bottleneck) {
-  TaskCharRecord& rec = records_[key(intern_stage(stage_name), partition)];
+  if (partition < 0) throw std::invalid_argument("TaskCharDb: negative partition");
+  std::vector<std::uint32_t>& slots = slots_[intern_stage(stage_name).index()];
+  auto p = static_cast<std::size_t>(partition);
+  if (p >= slots.size()) slots.resize(p + 1, 0);
+  if (slots[p] == 0) {
+    records_.emplace_back();
+    slots[p] = static_cast<std::uint32_t>(records_.size());
+  }
+  TaskCharRecord& rec = records_[slots[p] - 1];
   rec.compute_time = smooth(rec.compute_time, metrics.compute_time, rec.runs);
   rec.shuffle_read = smooth(rec.shuffle_read, metrics.shuffle_read_time, rec.runs);
   rec.shuffle_write = smooth(rec.shuffle_write, metrics.shuffle_write_time, rec.runs);
@@ -56,6 +70,7 @@ bool TaskCharDb::stage_uses_gpu(const std::string& stage_name) const {
 
 void TaskCharDb::clear() {
   records_.clear();
+  for (std::vector<std::uint32_t>& slots : slots_) slots.clear();
   // Interned names survive a clear (ids stay stable across the paper's
   // per-run DB resets); only the learned state is dropped.
   std::fill(gpu_stages_.begin(), gpu_stages_.end(), 0);

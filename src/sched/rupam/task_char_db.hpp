@@ -5,17 +5,22 @@
 // (Fig 6). Records the Table I task metrics plus the best-node lock
 // (optexecutor / historyresource) used by Algorithm 2.
 //
-// Stage names are interned once (StageNameId) and the record map keys on
-// the packed (id, partition) pair, so the dispatch-path lookup hashes one
-// 64-bit integer instead of concatenating strings. The historical string
-// API survives on top as a non-interning find — a stage name containing
-// any delimiter character ('#', ':') can never alias another stage's
-// records, because the key is the interned id, not a joined string.
+// Stage names are interned once (StageNameId) and lookup is dense: per
+// stage id, a vector indexed by partition holds a 32-bit slot (0 = absent)
+// into a store of the records that exist. The dispatch-path lookup is two
+// array reads — no hashing, no strings. The historical string API survives
+// on top as a non-interning find — a stage name containing any delimiter
+// character ('#', ':') can never alias another stage's records, because
+// the key is the interned id, not a joined string.
+//
+// Record pointers and references are valid only until the next update()
+// (the store may grow); dispatch resolves them within one round, and no
+// caller holds one across events.
 //
 // The paper serializes DB writes through a helper thread with a write
 // queue that reads are served from first; inside a discrete-event
-// simulation all accesses are already serialized, so the map below is the
-// functional equivalent of queue+thread without the plumbing.
+// simulation all accesses are already serialized, so the store below is
+// the functional equivalent of queue+thread without the plumbing.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +28,6 @@
 #include <set>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/symbol.hpp"
@@ -53,7 +57,8 @@ class TaskCharDb {
   const TaskCharRecord* lookup(const std::string& stage_name, int partition) const;
 
   /// Fold one completed attempt into the record (exponential smoothing so
-  /// the "most updated information" dominates, per §III-B2).
+  /// the "most updated information" dominates, per §III-B2). Throws
+  /// std::invalid_argument on a negative partition.
   TaskCharRecord& update(const std::string& stage_name, int partition,
                          const TaskMetrics& metrics, ResourceKind bottleneck);
 
@@ -75,30 +80,16 @@ class TaskCharDb {
            gpu_stages_[stage.index()] != 0;
   }
 
+  /// Drop every record; interned stage ids stay valid.
   void clear();
   std::size_t size() const { return records_.size(); }
 
  private:
-  /// (StageNameId, partition) packed into one hashable word. Partition is
-  /// an int in practice ≥ 0 and < 2^32 per stage; the id occupies the
-  /// high half, so distinct stages can never collide whatever their names.
-  static std::uint64_t key(StageNameId stage, int partition) {
-    return (static_cast<std::uint64_t>(stage.value) << 32) |
-           static_cast<std::uint32_t>(partition);
-  }
-  /// splitmix64 finalizer — the identity hash std::hash<uint64_t> usually
-  /// is would cluster (stage << 32 | partition) keys into few buckets.
-  struct KeyHash {
-    std::size_t operator()(std::uint64_t x) const {
-      x += 0x9e3779b97f4a7c15ull;
-      x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-      x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-      return static_cast<std::size_t>(x ^ (x >> 31));
-    }
-  };
-
   TypedSymbolTable<StageNameTag> stage_names_;
-  std::unordered_map<std::uint64_t, TaskCharRecord, KeyHash> records_;
+  /// The records that exist, in first-update order.
+  std::vector<TaskCharRecord> records_;
+  /// StageNameId → partition → 1 + index into records_ (0 = no record).
+  std::vector<std::vector<std::uint32_t>> slots_;
   /// Dense StageNameId → uses-GPU flag.
   std::vector<std::uint8_t> gpu_stages_;
 };

@@ -311,6 +311,7 @@ void SchedulerBase::submit(const TaskSet& task_set) {
   }
   auto [it, inserted] = stages_.emplace(task_set.stage, std::move(stage));
   if (!inserted) throw std::logic_error("SchedulerBase: stage already active");
+  active_tasks_ += it->second.tasks.size();
   trace(TraceEventType::kStageSubmitted, task_set.stage, -1, 0, kInvalidNode,
         task_set.stage_name);
   stage_submitted(it->second);
@@ -423,6 +424,7 @@ void SchedulerBase::resubmit(const TaskSet& task_set) {
       ts.submit_time = sim().now();
       stage.tasks.push_back(std::move(ts));
       ++stage.remaining;
+      ++active_tasks_;
       trace(TraceEventType::kPartitionResubmitted, task_set.stage, spec.id, 0, kInvalidNode,
             "grafted into partial stage");
       set_task_pending(stage, stage.tasks.size() - 1, true);
@@ -465,9 +467,7 @@ void SchedulerBase::request_dispatch() {
     ++dispatch_work_.rounds;
     // What the pre-index O(nodes × tasks) sweep would have cost this round
     // — the baseline the indexed work counters are measured against.
-    std::size_t total_tasks = 0;
-    for (const auto& [id, stage] : stages_) total_tasks += stage.tasks.size();
-    dispatch_work_.full_scan_equivalent += cluster().size() * total_tasks;
+    dispatch_work_.full_scan_equivalent += cluster().size() * active_tasks_;
     if (dispatch_counter_ != nullptr) dispatch_counter_->inc();
     if (profiler_ != nullptr && profiler_->counting_allocs()) {
       // Allocation accounting (bench-only: a replaced operator new feeds
@@ -666,6 +666,7 @@ void SchedulerBase::handle_success(StageId stage_id, std::size_t task_index, Att
   if (stage.remaining == 0) {
     RUPAM_DEBUG(sim().now(), name(), ": stage ", stage_id, " drained");
     stage_removed(stage);
+    active_tasks_ -= stage.tasks.size();
     stages_.erase(stage_id);
   }
   request_dispatch();
@@ -918,6 +919,17 @@ SchedulerBase::TaskState* SchedulerBase::next_launchable(StageState& stage) {
     return &task;
   }
   return nullptr;
+}
+
+bool SchedulerBase::any_launchable() {
+  SimTime now = sim().now();
+  for (auto& [id, stage] : stages_) {
+    for (std::size_t index : stage.pending_index) {
+      ++dispatch_work_.task_checks;
+      if (now >= stage.tasks[index].not_before) return true;
+    }
+  }
+  return false;
 }
 
 void SchedulerBase::note_node_maybe_free(NodeId node) {

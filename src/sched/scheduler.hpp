@@ -356,6 +356,10 @@ class SchedulerBase {
   /// indexed equivalent of "first launchable task scanning from 0".
   /// Backoff tasks are skipped (and counted as task_checks).
   TaskState* next_launchable(StageState& stage);
+  /// True when some active stage has a launchable task (a pending_index
+  /// entry past its retry backoff). When false no node can be offered a
+  /// primary task, so the primary sweeps skip the node walk entirely.
+  bool any_launchable();
 
   /// Visit nodes that may have a free slot, in NodeId ring order starting
   /// at `start`, until `visit` returns false. Nodes whose executor is down
@@ -526,6 +530,9 @@ class SchedulerBase {
   /// Block key → nodes caching it (from BlockCache change events).
   std::map<std::string, std::set<NodeId>> cache_locations_;
   DispatchWorkCounters dispatch_work_;
+  /// Tasks across stages_ (finished ones included): the per-round
+  /// full_scan_equivalent term, kept by submit, graft and stage erase.
+  std::size_t active_tasks_ = 0;
   std::size_t straggler_copies_ = 0;
   std::size_t relocations_ = 0;
   std::size_t preemptions_ = 0;

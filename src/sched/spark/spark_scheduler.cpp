@@ -156,12 +156,16 @@ void SparkScheduler::try_dispatch() {
   bool progressed = true;
   while (progressed) {
     progressed = false;
-    // Re-rank tasksets each offer round: under FAIR the launches of the
-    // previous round shift every pool's share.
-    const std::vector<StageState*>& ordered = schedulable_stages();
     // Rotate the starting node between rounds: Spark shuffles offers so
     // one node does not soak up every wave.
     NodeId start = static_cast<NodeId>(offer_rotation_ % n);
+    ++offer_rotation_;
+    // Nothing launchable (all drained, running or in retry backoff): no
+    // offer can take a task, so skip the node walk.
+    if (!any_launchable()) break;
+    // Re-rank tasksets each offer round: under FAIR the launches of the
+    // previous round shift every pool's share.
+    const std::vector<StageState*>& ordered = schedulable_stages();
     for_each_ready_node(start, [&](NodeId node, Executor&) {
       Candidate c = pick_task_for(node, ordered);
       if (c.task == nullptr) return true;
@@ -193,7 +197,6 @@ void SparkScheduler::try_dispatch() {
       }
       return true;
     });
-    ++offer_rotation_;
   }
   if (launch_speculative_copies()) {
     // A speculative launch can free no slot, so no re-loop is needed.

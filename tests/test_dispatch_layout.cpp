@@ -1,11 +1,12 @@
 // Tests for the allocation-free dispatch data layout (DESIGN §15): the
-// interned symbol table, TaskCharDb's packed (StageNameId, partition)
-// keys, PoolId stability across membership churn, and the id-based FAIR
+// interned symbol table, TaskCharDb's dense (StageNameId, partition)
+// slots, PoolId stability across membership churn, and the id-based FAIR
 // pool ordering against the historical string-map algorithm.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -54,7 +55,7 @@ TaskMetrics metrics_with_compute(double compute) {
 TEST(TaskCharDbKeys, DelimiterNamesNeverAlias) {
   // Under the old joined-string key ("name#partition" or "name:partition")
   // a stage name containing the delimiter could collide with another
-  // stage's (name, partition) pair. The packed-id key makes that
+  // stage's (name, partition) pair. The interned-id key makes that
   // impossible; pin it with the classic collision shapes.
   TaskCharDb db;
   db.update("job:stage", 7, metrics_with_compute(1.0), ResourceKind::kCpu);
@@ -106,6 +107,68 @@ TEST(TaskCharDbKeys, InternedIdsSurviveClear) {
   db.update("persist", 0, metrics_with_compute(2.0), ResourceKind::kCpu);
   ASSERT_NE(db.lookup(id, 0), nullptr);
   EXPECT_DOUBLE_EQ(db.lookup(id, 0)->compute_time, 2.0);
+}
+
+TEST(TaskCharDbKeys, NegativeOrOutOfRangePartitionIsNull) {
+  TaskCharDb db;
+  db.update("s", 3, metrics_with_compute(1.0), ResourceKind::kCpu);
+  StageNameId id = db.find_stage("s");
+  EXPECT_EQ(db.lookup(id, -1), nullptr);
+  EXPECT_EQ(db.lookup("s", -1), nullptr);
+  EXPECT_EQ(db.lookup(id, 4), nullptr);  // past the stage's highest partition
+  EXPECT_EQ(db.lookup(id, 1 << 30), nullptr);
+  EXPECT_EQ(db.lookup(db.intern_stage("fresh"), 0), nullptr);  // stage with no records
+  EXPECT_THROW(db.update("s", -1, metrics_with_compute(1.0), ResourceKind::kCpu),
+               std::invalid_argument);
+}
+
+TEST(TaskCharDbKeys, SparsePartitionHoldsOneRecord) {
+  TaskCharDb db;
+  db.update("s", 5000, metrics_with_compute(7.0), ResourceKind::kDisk);
+  EXPECT_EQ(db.size(), 1u);
+  ASSERT_NE(db.lookup("s", 5000), nullptr);
+  EXPECT_DOUBLE_EQ(db.lookup("s", 5000)->compute_time, 7.0);
+  EXPECT_EQ(db.lookup("s", 0), nullptr);
+  EXPECT_EQ(db.lookup("s", 4999), nullptr);
+}
+
+TEST(TaskCharDbKeys, ClearDropsRecordsButKeepsIds) {
+  TaskCharDb db;
+  for (int p : {0, 9, 300}) db.update("a", p, metrics_with_compute(1.0), ResourceKind::kCpu);
+  db.update("b", 2, metrics_with_compute(1.0), ResourceKind::kCpu);
+  StageNameId a = db.find_stage("a");
+  StageNameId b = db.find_stage("b");
+  db.clear();
+  EXPECT_EQ(db.size(), 0u);
+  for (int p : {0, 2, 9, 300}) {
+    EXPECT_EQ(db.lookup(a, p), nullptr) << p;
+    EXPECT_EQ(db.lookup(b, p), nullptr) << p;
+  }
+  EXPECT_EQ(db.find_stage("a"), a);
+  EXPECT_EQ(db.find_stage("b"), b);
+  db.update("b", 9, metrics_with_compute(4.0), ResourceKind::kCpu);
+  EXPECT_EQ(db.size(), 1u);
+  ASSERT_NE(db.lookup(b, 9), nullptr);
+  EXPECT_DOUBLE_EQ(db.lookup(b, 9)->compute_time, 4.0);
+  EXPECT_EQ(db.lookup(a, 9), nullptr);
+}
+
+TEST(TaskCharDbKeys, StringAndIdApisAgreeOnEveryRecord) {
+  TaskCharDb db;
+  std::mt19937 rng(3);
+  std::uniform_int_distribution<int> stage_dist(0, 5);
+  std::uniform_int_distribution<int> part_dist(0, 64);
+  for (int i = 0; i < 200; ++i) {
+    db.update("stage-" + std::to_string(stage_dist(rng)), part_dist(rng),
+              metrics_with_compute(static_cast<double>(i)), ResourceKind::kCpu);
+  }
+  for (int s = 0; s <= 5; ++s) {
+    std::string name = "stage-" + std::to_string(s);
+    StageNameId id = db.find_stage(name);
+    for (int p = -1; p <= 65; ++p) {
+      EXPECT_EQ(db.lookup(id, p), db.lookup(name, p)) << name << " " << p;
+    }
+  }
 }
 
 // -------------------------------------------------------- pool id layout

@@ -225,5 +225,32 @@ TEST(FleetE2E, IndexedDispatchBeatsFullRescanByTenfold) {
   }
 }
 
+// Node walkers (FIFO, Spark) skip the free-node sweep on rounds where no
+// stage has a launchable task, so the nodes they visit track launches, not
+// heartbeat-driven rounds times free nodes.
+TEST(FleetE2E, NodeWalkersVisitAtMostTwoNodesPerLaunch) {
+  FleetSpec spec = scaled_hydra_fleet(200, 1);
+  std::vector<NodeSpec> nodes = generate_fleet(spec);
+  WorkloadPreset preset = workload_preset("TeraSort");
+  preset.input_gb = 25.0;
+
+  for (SchedulerKind kind : {SchedulerKind::kFifo, SchedulerKind::kSpark}) {
+    SimulationConfig cfg;
+    cfg.scheduler = kind;
+    cfg.nodes = nodes;
+    cfg.speculation.enabled = false;  // straggler sweeps are a separate subsystem
+    Simulation sim(cfg);
+    Application app =
+        build_workload(preset, sim.cluster().node_ids(), /*seed=*/1,
+                       /*iterations_override=*/0, hdfs_placement_weights(sim.cluster()));
+    sim.run(app);
+    std::size_t visits = sim.scheduler().dispatch_work().node_visits;
+    std::size_t launches = sim.scheduler().launches();
+    EXPECT_GT(launches, 0u) << sim.scheduler().name();
+    EXPECT_LE(visits, 2 * launches)
+        << sim.scheduler().name() << ": node_visits=" << visits << " launches=" << launches;
+  }
+}
+
 }  // namespace
 }  // namespace rupam

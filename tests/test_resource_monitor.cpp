@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <random>
+#include <vector>
+
 #include "sched/rupam/resource_monitor.hpp"
 
 namespace rupam {
@@ -87,6 +91,73 @@ TEST(ResourceMonitor, ClearForgets) {
   rm.clear();
   EXPECT_EQ(rm.tracked_nodes(), 0u);
   EXPECT_TRUE(rm.ranked(ResourceKind::kCpu, nullptr).empty());
+}
+
+TEST(ResourceMonitor, QueueResortsAfterWrite) {
+  ResourceMonitor rm;
+  rm.record(metrics(0, 1.0, 8, 0.1, 1.0 * kGiB));
+  rm.record(metrics(1, 1.0, 8, 0.5, 1.0 * kGiB));
+  EXPECT_EQ(rm.ranked(ResourceKind::kCpu, nullptr), (std::vector<NodeId>{0, 1}));
+  rm.record(metrics(0, 1.0, 8, 0.9, 1.0 * kGiB));  // node 0 got busier
+  EXPECT_EQ(rm.ranked(ResourceKind::kCpu, nullptr), (std::vector<NodeId>{1, 0}));
+  rm.forget(1);
+  EXPECT_EQ(rm.ranked(ResourceKind::kCpu, nullptr), (std::vector<NodeId>{0}));
+}
+
+// Exactness of rank-once-then-filter: for random metrics (with ties on
+// capability and on utilization) and dead nodes, the sorted queue filtered
+// by any admission predicate equals sorting just the admitted live rows.
+TEST(ResourceMonitor, FilteringSortedQueueEqualsSortingFilteredRows) {
+  std::mt19937 rng(11);
+  auto pick = [&rng](std::initializer_list<double> values) {
+    std::uniform_int_distribution<std::size_t> d(0, values.size() - 1);
+    return *(values.begin() + d(rng));
+  };
+  std::bernoulli_distribution coin(0.5);
+  std::bernoulli_distribution rarely(0.15);
+  constexpr NodeId kNodes = 48;
+  for (int trial = 0; trial < 40; ++trial) {
+    ResourceMonitor rm;
+    rm.configure_liveness({1.0, 3});
+    std::vector<NodeMetrics> rows;
+    std::vector<bool> alive;
+    for (NodeId id = 0; id < kNodes; ++id) {
+      NodeMetrics m = metrics(id, pick({1.0, 2.0, 3.5}), 8, pick({0.0, 0.5, 0.9}),
+                              pick({1.0, 2.0, 8.0}) * kGiB, coin(rng),
+                              static_cast<int>(pick({0.0, 1.0, 2.0})), 2);
+      m.memory = pick({16.0, 64.0}) * kGiB;
+      m.disk_util = pick({0.0, 0.25, 1.0});
+      m.net_util = pick({0.0, 0.5});
+      m.net_bandwidth = gbit_per_s(pick({1.0, 10.0}));
+      // Nodes silent since t=0 are declared dead by the sweep at t=10.
+      bool live = !rarely(rng);
+      rm.record(m, live ? 9.5 : 0.0);
+      rows.push_back(m);
+      alive.push_back(live);
+    }
+    rm.sweep_dead(10.0);
+    for (std::size_t k = 0; k < kNumResourceKinds; ++k) {
+      ResourceKind kind = static_cast<ResourceKind>(k);
+      std::vector<bool> admitted;
+      for (NodeId id = 0; id < kNodes; ++id) admitted.push_back(coin(rng));
+      auto admit = [&admitted](const NodeMetrics& m) {
+        return admitted[static_cast<std::size_t>(m.node)];
+      };
+      // Reference: a monitor holding only the admitted live rows, sorted.
+      ResourceMonitor filtered_first;
+      for (const NodeMetrics& m : rows) {
+        if (alive[static_cast<std::size_t>(m.node)] && admit(m)) filtered_first.record(m);
+      }
+      std::vector<NodeId> expected = filtered_first.ranked(kind, nullptr);
+      EXPECT_EQ(rm.ranked(kind, admit), expected) << to_string(kind) << " trial " << trial;
+      std::vector<NodeId> walked;
+      for (const NodeMetrics* m : rm.queue(kind)) {
+        EXPECT_FALSE(rm.dead(m->node));
+        if (admit(*m)) walked.push_back(m->node);
+      }
+      EXPECT_EQ(walked, expected) << to_string(kind) << " trial " << trial;
+    }
+  }
 }
 
 }  // namespace
