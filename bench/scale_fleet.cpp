@@ -14,10 +14,15 @@
 //    must examine at least 10x fewer tasks than a full nodes-x-tasks
 //    rescan per round would (DispatchWorkCounters.full_scan_equivalent /
 //    task_checks >= 10);
-//  * node visits: at the largest swept N, FIFO and Spark visit at most 2
-//    nodes per launch — rounds with nothing launchable skip the node walk;
+//  * node visits: at the largest swept N, FIFO, Spark and RUPAM visit at
+//    most 2 nodes per launch — rounds with nothing launchable skip the
+//    node walk, and RUPAM's walk resumes past the nodes it refused;
+//  * RUPAM task checks: at the largest swept N, at most 8 per launch —
+//    candidate rows are resolved once per round and matched through the
+//    node's local refs, not viewed per node;
 //  * events/s: when N=100 and N=1000 are both swept, FIFO and Spark keep
-//    at least half their N=100 events/s at N=1000.
+//    at least half their N=100 events/s at N=1000. Every scheduler's ratio
+//    is printed, RUPAM's and StageAware's without a gate.
 //
 // Speculation is disabled for the sweep: its straggler scan is a separate
 // subsystem with its own (per-stage) cost model, and leaving it on would
@@ -40,6 +45,7 @@ namespace {
 
 constexpr double kMinScanReduction = 10.0;
 constexpr double kMaxNodeVisitsPerLaunch = 2.0;
+constexpr double kMaxRupamTaskChecksPerLaunch = 8.0;
 constexpr double kMinEventsPerSRatio = 0.5;
 
 struct RunResult {
@@ -62,11 +68,18 @@ struct RunResult {
     return static_cast<double>(work.node_visits) /
            static_cast<double>(std::max<std::size_t>(1, launches));
   }
+  double task_checks_per_launch() const {
+    return static_cast<double>(work.task_checks) /
+           static_cast<double>(std::max<std::size_t>(1, launches));
+  }
   double events_per_s() const {
     return wall_ms > 0.0 ? static_cast<double>(events) / (wall_ms / 1000.0) : 0.0;
   }
-  /// The schedulers whose dispatch walks free nodes (node-visit gates).
+  /// The schedulers whose dispatch walks free nodes (events/s gate).
   bool node_walker() const { return scheduler == "FIFO" || scheduler == "Spark"; }
+  /// Node visits per launch are gated for all but StageAware, which still
+  /// re-ranks the free nodes after every launch.
+  bool visits_gated() const { return scheduler != "StageAware"; }
 };
 
 }  // namespace
@@ -145,8 +158,8 @@ int main(int argc, char** argv) {
   }
 
   TextTable table({"Nodes", "Scheduler", "Makespan (s)", "Wall (ms)", "Events", "Events/s",
-                   "Task checks", "Full-scan equiv", "Reduction", "Node visits",
-                   "Visits/launch"});
+                   "Task checks", "Checks/launch", "Full-scan equiv", "Reduction",
+                   "Node visits", "Visits/launch"});
   bench::JsonReport json("scale_fleet");
   for (const RunResult& r : results) {
     json.record_kernel(r.kernel);
@@ -154,6 +167,7 @@ int main(int argc, char** argv) {
     table.add_row({std::to_string(r.nodes), r.scheduler, format_fixed(r.makespan, 1),
                    format_fixed(r.wall_ms, 1), std::to_string(r.events),
                    format_fixed(events_per_s, 0), std::to_string(r.work.task_checks),
+                   format_fixed(r.task_checks_per_launch(), 2),
                    std::to_string(r.work.full_scan_equivalent),
                    format_fixed(r.scan_reduction(), 1) + "x", std::to_string(r.work.node_visits),
                    format_fixed(r.node_visits_per_launch(), 2)});
@@ -171,6 +185,7 @@ int main(int argc, char** argv) {
     json.add(prefix + "_scan_reduction", r.scan_reduction());
     json.add(prefix + "_node_visits", static_cast<double>(r.work.node_visits));
     json.add(prefix + "_node_visits_per_launch", r.node_visits_per_launch());
+    json.add(prefix + "_task_checks_per_launch", r.task_checks_per_launch());
   }
   table.print(std::cout);
   json.add("max_nodes_swept", static_cast<double>(largest));
@@ -194,11 +209,18 @@ int main(int argc, char** argv) {
                 << "x) — the dispatch indexes are not being used\n";
       ++failures;
     }
-    if (r.node_walker() && r.node_visits_per_launch() > kMaxNodeVisitsPerLaunch) {
+    if (r.visits_gated() && r.node_visits_per_launch() > kMaxNodeVisitsPerLaunch) {
       std::cerr << "FAIL: " << r.scheduler << " at " << largest << " nodes visited "
                 << format_fixed(r.node_visits_per_launch(), 2) << " nodes per launch (> "
                 << format_fixed(kMaxNodeVisitsPerLaunch, 0)
-                << ") — dispatch walks free nodes on rounds that cannot launch\n";
+                << ") — dispatch walks nodes that cannot take a launch\n";
+      ++failures;
+    }
+    if (r.scheduler == "RUPAM" && r.task_checks_per_launch() > kMaxRupamTaskChecksPerLaunch) {
+      std::cerr << "FAIL: RUPAM at " << largest << " nodes checked "
+                << format_fixed(r.task_checks_per_launch(), 2) << " tasks per launch (> "
+                << format_fixed(kMaxRupamTaskChecksPerLaunch, 0)
+                << ") — candidate rows are rebuilt or viewed per launch\n";
       ++failures;
     }
     // Reported when N=100 and a larger N were both swept; gated for the

@@ -5,20 +5,24 @@
 // memory-oblivious EFT placement livelocks on PR's cache-heavy iterations
 // (pre-existing, tracked in ROADMAP.md); every scheduler completes TC.
 //
-// Each scheduler runs the workload twice in separate Simulations: a pilot
-// run counts dispatch rounds, then an identical measured run gates heap
+// Each scheduler runs the workload in separate Simulations: a pilot run
+// counts dispatch rounds, then five identical measured runs gate heap
 // allocations over the second half of those rounds — by then every scratch
 // buffer, symbol table and queue has reached its high-water capacity, so
-// those rounds are the steady state. Two regression gates (nonzero exit on
-// failure):
+// those rounds are the steady state. A scheduler's reported figures are
+// those of its measured run with the median dispatch mean: one run per
+// scheduler let a single preempted run swing the RUPAM/FIFO ratio past its
+// budget on a shared host. Two regression gates (nonzero exit on failure):
 //
 //  * steady-state dispatch rounds that launch nothing must perform ZERO
-//    heap allocations with observers (trace/audit/metrics) disabled — the
+//    heap allocations, in every measured run, with observers
+//    (trace/audit/metrics) disabled — the
 //    interned-symbol/flat-index dispatch path holds no per-round strings
 //    or maps;
-//  * RUPAM's mean per-dispatch wall cost must stay within 10x FIFO's
-//    (supports the paper's claim that the extra bookkeeping keeps
+//  * RUPAM's median mean per-dispatch wall cost must stay within 10x
+//    FIFO's (supports the paper's claim that the extra bookkeeping keeps
 //    scheduler delay "moderate").
+#include <algorithm>
 #include <array>
 #include <cstdlib>
 #include <new>
@@ -65,15 +69,28 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::f
 namespace {
 
 constexpr double kMaxRupamOverFifo = 10.0;
+constexpr int kMeasuredRuns = 5;
+
+struct MeasuredRun {
+  rupam::OverheadProfiler profiler;
+  std::size_t launches = 0;
+  double makespan = 0.0;
+  rupam::KernelStats kernel{};
+
+  double dispatch_mean_ns() const {
+    return profiler.section(rupam::ProfileSection::kDispatch).mean_ns();
+  }
+};
 
 struct SchedulerProfile {
   explicit SchedulerProfile(rupam::SchedulerKind k) : kind(k) {}
 
   rupam::SchedulerKind kind;
-  rupam::OverheadProfiler profiler;
-  std::size_t launches = 0;
-  double makespan = 0.0;
-  rupam::KernelStats kernel{};
+  std::array<MeasuredRun, kMeasuredRuns> runs;
+  /// The run with the median dispatch mean: every reported figure is its.
+  const MeasuredRun* median = nullptr;
+  /// Steady-state scan allocations summed over every measured run.
+  std::uint64_t scan_allocs = 0;
 };
 
 }  // namespace
@@ -92,8 +109,8 @@ int main(int argc, char** argv) {
     SimulationConfig cfg;
     cfg.scheduler = p.kind;
     // Pilot: how many dispatch rounds does this workload drive? The
-    // measured run replays the identical event sequence, so half of this
-    // count marks the start of its steady state.
+    // measured runs replay the identical event sequence, so half of this
+    // count marks the start of their steady state.
     std::uint64_t pilot_rounds = 0;
     {
       Simulation pilot(cfg);
@@ -105,36 +122,47 @@ int main(int argc, char** argv) {
       pilot.run(app);
       pilot_rounds = pilot_profiler.section(ProfileSection::kDispatch).count;
     }
-    // Measured run: wall-clock sections over every round, allocation
+    // Measured runs: wall-clock sections over every round, allocation
     // accounting (sampled around each try_dispatch by the scheduler base)
     // over the post-warm-up half only.
-    Simulation sim(cfg);
-    sim.set_profiler(&p.profiler);
-    Application app = build_workload(workload_preset(workload), sim.cluster().node_ids(),
-                                     /*seed=*/1, /*iterations_override=*/0,
-                                     hdfs_placement_weights(sim.cluster()));
-    p.profiler.set_alloc_counter(&read_heap_allocs);
-    p.profiler.set_alloc_warmup(pilot_rounds / 2);
-    p.makespan = sim.run(app);
-    p.profiler.set_alloc_counter(nullptr);
-    p.launches = sim.scheduler().launches();
-    p.kernel = sim.sim().stats();
+    for (MeasuredRun& run : p.runs) {
+      Simulation sim(cfg);
+      sim.set_profiler(&run.profiler);
+      Application app = build_workload(workload_preset(workload), sim.cluster().node_ids(),
+                                       /*seed=*/1, /*iterations_override=*/0,
+                                       hdfs_placement_weights(sim.cluster()));
+      run.profiler.set_alloc_counter(&read_heap_allocs);
+      run.profiler.set_alloc_warmup(pilot_rounds / 2);
+      run.makespan = sim.run(app);
+      run.profiler.set_alloc_counter(nullptr);
+      run.launches = sim.scheduler().launches();
+      run.kernel = sim.sim().stats();
+      p.scan_allocs += run.profiler.alloc_stats().scan_allocs;
+    }
+    std::array<const MeasuredRun*, kMeasuredRuns> by_mean;
+    for (int i = 0; i < kMeasuredRuns; ++i) by_mean[i] = &p.runs[i];
+    std::sort(by_mean.begin(), by_mean.end(), [](const MeasuredRun* a, const MeasuredRun* b) {
+      return a->dispatch_mean_ns() < b->dispatch_mean_ns();
+    });
+    p.median = by_mean[kMeasuredRuns / 2];
   }
 
   bench::JsonReport json("sched_overhead");
   TextTable table({"Scheduler", "Dispatch rounds", "Launches", "Dispatch mean (ns)",
                    "Scan allocs", "Launch allocs/round", "Heap maint (ns)", "Heartbeat (ns)"});
   bool scan_alloc_free = true;
+  std::uint64_t scan_allocs_total = 0;
   for (SchedulerProfile& p : profiles) {
-    json.record_kernel(p.kernel);
-    const SectionStats& dispatch = p.profiler.section(ProfileSection::kDispatch);
-    const SectionStats& heap = p.profiler.section(ProfileSection::kHeapMaintenance);
-    const SectionStats& hb = p.profiler.section(ProfileSection::kHeartbeat);
-    const SectionStats& enq = p.profiler.section(ProfileSection::kEnqueue);
-    const AllocStats& allocs = p.profiler.alloc_stats();
+    const MeasuredRun& run = *p.median;
+    json.record_kernel(run.kernel);
+    const SectionStats& dispatch = run.profiler.section(ProfileSection::kDispatch);
+    const SectionStats& heap = run.profiler.section(ProfileSection::kHeapMaintenance);
+    const SectionStats& hb = run.profiler.section(ProfileSection::kHeartbeat);
+    const SectionStats& enq = run.profiler.section(ProfileSection::kEnqueue);
+    const AllocStats& allocs = run.profiler.alloc_stats();
     table.add_row({std::string(to_string(p.kind)), std::to_string(dispatch.count),
-                   std::to_string(p.launches), format_fixed(dispatch.mean_ns(), 0),
-                   std::to_string(allocs.scan_allocs),
+                   std::to_string(run.launches), format_fixed(dispatch.mean_ns(), 0),
+                   std::to_string(p.scan_allocs),
                    format_fixed(allocs.launch_allocs_per_round(), 2),
                    format_fixed(heap.mean_ns(), 0), format_fixed(hb.mean_ns(), 0)});
     std::string prefix(to_string(p.kind));
@@ -144,30 +172,26 @@ int main(int argc, char** argv) {
     json.add(prefix + "_heap_maintenance_mean_ns", heap.mean_ns());
     json.add(prefix + "_heartbeat_mean_ns", hb.mean_ns());
     json.add(prefix + "_enqueue_mean_ns", enq.mean_ns());
-    json.add(prefix + "_makespan_s", p.makespan);
+    json.add(prefix + "_makespan_s", run.makespan);
     json.add(prefix + "_scan_rounds", static_cast<double>(allocs.scan_rounds));
-    json.add(prefix + "_scan_allocs", static_cast<double>(allocs.scan_allocs));
+    json.add(prefix + "_scan_allocs", static_cast<double>(p.scan_allocs));
     json.add(prefix + "_allocs_per_dispatch", allocs.scan_allocs_per_round());
     json.add(prefix + "_launch_allocs_per_round", allocs.launch_allocs_per_round());
-    if (allocs.scan_allocs != 0) {
+    scan_allocs_total += p.scan_allocs;
+    if (p.scan_allocs != 0) {
       scan_alloc_free = false;
-      std::cerr << "FAIL: " << to_string(p.kind) << " allocated " << allocs.scan_allocs
-                << " times across " << allocs.scan_rounds
-                << " steady-state scan rounds (expected 0 with observers off)\n";
+      std::cerr << "FAIL: " << to_string(p.kind) << " allocated " << p.scan_allocs
+                << " times across the steady-state scan rounds of " << kMeasuredRuns
+                << " runs (expected 0 with observers off)\n";
     }
   }
   table.print(std::cout);
 
-  double fifo_mean = profiles[0].profiler.section(ProfileSection::kDispatch).mean_ns();
-  double rupam_mean = profiles[4].profiler.section(ProfileSection::kDispatch).mean_ns();
+  double fifo_mean = profiles[0].median->dispatch_mean_ns();
+  double rupam_mean = profiles[4].median->dispatch_mean_ns();
   double ratio = fifo_mean > 0.0 ? rupam_mean / fifo_mean : 0.0;
   json.add("rupam_over_fifo_dispatch_ratio", ratio);
-  json.add("steady_scan_allocs_total",
-           static_cast<double>(profiles[0].profiler.alloc_stats().scan_allocs +
-                               profiles[1].profiler.alloc_stats().scan_allocs +
-                               profiles[2].profiler.alloc_stats().scan_allocs +
-                               profiles[3].profiler.alloc_stats().scan_allocs +
-                               profiles[4].profiler.alloc_stats().scan_allocs));
+  json.add("steady_scan_allocs_total", static_cast<double>(scan_allocs_total));
   json.add("workload", workload);
   json.write();
 

@@ -111,7 +111,8 @@ bool metric_lower_is_better(std::string_view key) {
   // Higher-is-better metrics; everything else (times, costs, allocation
   // counts, RSS, failure counts, straggler counts) regresses when it grows.
   for (std::string_view up : {"speedup", "throughput", "events_per_s", "per_core_efficiency",
-                              "util", "efficiency", "locality_fraction", "hit_rate"}) {
+                              "util", "efficiency", "locality_fraction", "hit_rate",
+                              "reduction"}) {
     if (contains(key, up)) return false;
   }
   return true;

@@ -1,5 +1,7 @@
 #include "sched/rupam/dispatcher.hpp"
 
+#include <algorithm>
+
 namespace rupam {
 
 std::optional<std::size_t> algorithm2_select(const std::vector<DispatchTaskView>& tasks,
@@ -40,6 +42,57 @@ std::optional<std::size_t> algorithm2_select(const std::vector<DispatchTaskView>
   if (best_free != nullptr) return best_free->index;
   if (best_locked_elsewhere != nullptr) return best_locked_elsewhere->index;
   return std::nullopt;
+}
+
+void CandidateSegment::clear() {
+  rows_.clear();
+  locked_.clear();
+  by_lock_node_.clear();
+  by_lock_node_sorted_ = true;
+  cached_ = 0;
+  multi_pool_ = false;
+}
+
+void CandidateSegment::push(const CandidateRow& row) {
+  if (!rows_.empty() && row.pool != rows_.front().pool) multi_pool_ = true;
+  if (row.cached_input) ++cached_;
+  if (row.opt_executor != kInvalidNode) {
+    locked_.push_back(rows_.size());
+    by_lock_node_.emplace_back(row.opt_executor, rows_.size());
+    by_lock_node_sorted_ = false;
+  }
+  rows_.push_back(row);
+}
+
+std::size_t CandidateSegment::find(std::uint64_t seq) const {
+  auto it = std::lower_bound(rows_.begin(), rows_.end(), seq,
+                             [](const CandidateRow& r, std::uint64_t s) { return r.seq < s; });
+  if (it == rows_.end() || it->seq != seq) return npos;
+  return static_cast<std::size_t>(it - rows_.begin());
+}
+
+std::span<const std::pair<NodeId, std::size_t>> CandidateSegment::locked_to(NodeId node) {
+  if (!by_lock_node_sorted_) {
+    std::sort(by_lock_node_.begin(), by_lock_node_.end());
+    by_lock_node_sorted_ = true;
+  }
+  auto lo = std::lower_bound(by_lock_node_.begin(), by_lock_node_.end(),
+                             std::pair<NodeId, std::size_t>{node, 0});
+  auto hi = std::lower_bound(lo, by_lock_node_.end(), std::pair<NodeId, std::size_t>{node + 1, 0});
+  return {lo, hi};
+}
+
+bool spans_pools(std::span<const SegmentUse> uses) {
+  const CandidateSegment* first = nullptr;
+  for (const SegmentUse& use : uses) {
+    const CandidateSegment& seg = *use.segment;
+    if (seg.size() == 0) continue;
+    if (seg.multi_pool() || (first != nullptr && seg.first_pool() != first->first_pool())) {
+      return true;
+    }
+    if (first == nullptr) first = &seg;
+  }
+  return false;
 }
 
 ResourceKind ResourceRoundRobin::next() {

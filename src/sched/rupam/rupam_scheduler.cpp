@@ -144,120 +144,132 @@ bool RupamScheduler::any_idle_gpu() const {
   return false;
 }
 
-const std::vector<RupamScheduler::Row>& RupamScheduler::collect_rows(ResourceKind kind) {
-  std::vector<Row>& rows = rows_scratch_;
-  rows.clear();
-  auto resolve = [this](const TaskManager::PendingRef& ref, StageState** stage_out,
-                        TaskState** task_out) {
+bool RupamScheduler::race_eligible(const TaskState& task) const {
+  return !task.finished && !task.live.empty() && !task.has_gpu_attempt();
+}
+
+RupamScheduler::QueueRows& RupamScheduler::rows_for(ResourceKind kind) {
+  QueueRows& q = rows_[static_cast<std::size_t>(kind)];
+  if (q.tm_version == tm_.version() && q.db_version == db_.version()) return q;
+  q.tm_version = tm_.version();
+  q.db_version = db_.version();
+  q.candidates.clear();
+  q.tasks.clear();
+  q.heads = {};
+  auto add = [&](std::uint64_t seq, const TaskManager::PendingRef& ref) {
     auto it = stages_.find(ref.stage);
-    if (it == stages_.end()) return false;
+    if (it == stages_.end()) return;
     StageState& stage = it->second;
-    if (ref.task_index >= stage.tasks.size()) return false;
+    if (ref.task_index >= stage.tasks.size()) return;
     TaskState& task = stage.tasks[ref.task_index];
-    if (task.spec.id != ref.task || task.finished) return false;
-    *stage_out = &stage;
-    *task_out = &task;
-    return true;
-  };
-  auto add = [&](const TaskManager::PendingRef& ref) {
-    StageState* stage = nullptr;
-    TaskState* task = nullptr;
-    if (!resolve(ref, &stage, &task)) return;
+    if (task.spec.id != ref.task || task.finished) return;
     note_task_checks(1);
+    CandidateRow row;
+    row.seq = seq;
+    row.pool = static_cast<std::uint32_t>(pool_of(stage).index());
+    row.peak_memory = task.spec.total_memory();
+    row.cached_input = !task.spec.input_cache_key.empty();
     // The ref carries the interned stage name, so the DB lookup is two
     // array reads instead of hashing the stage-name string.
-    if (launchable(*task)) {
-      rows.push_back(Row{stage, task, false, db_.lookup(ref.name, task->spec.partition)});
-      return;
+    if (const TaskCharRecord* rec = db_.lookup(ref.name, task.spec.partition)) {
+      row.opt_executor = rec->opt_executor;
+      row.gpu_record = rec->gpu;
+      row.history_size = static_cast<std::uint8_t>(rec->history_resources.size());
+      row.expected_cost = rec->compute_time + rec->shuffle_read + rec->shuffle_write;
     }
-    if (kind == ResourceKind::kGpu && config_.gpu_cpu_race && !task->live.empty() &&
-        !task->has_gpu_attempt()) {
-      // Task is racing on a CPU; a device opened up — offer the GPU copy.
-      rows.push_back(Row{stage, task, true, db_.lookup(ref.name, task->spec.partition)});
-    }
+    q.candidates.push(row);
+    q.tasks.emplace_back(&stage, &task);
   };
   const TaskManager::Queue& active = tm_.active(kind);
   if (kind == ResourceKind::kGpu && config_.gpu_cpu_race) {
     // Merge active and parked refs in enqueue order: a parked GPU ref is a
-    // task already racing on a CPU that a freed device may poach.
+    // task racing on a CPU that a freed device may poach.
     const TaskManager::Queue& parked = tm_.parked(kind);
     auto ait = active.begin();
     auto pit = parked.begin();
     while (ait != active.end() || pit != parked.end()) {
       if (pit == parked.end() || (ait != active.end() && ait->first < pit->first)) {
-        add((ait++)->second);
+        add(ait->first, ait->second);
+        ++ait;
       } else {
-        add((pit++)->second);
+        add(pit->first, pit->second);
+        ++pit;
       }
     }
   } else {
-    for (const auto& [seq, ref] : active) add(ref);
+    for (const auto& [seq, ref] : active) add(seq, ref);
   }
-  // CPU round may also take pending GPU tasks when no device is idle
-  // anywhere — the CPU side of the dual-run race (§III-C3, BLAS example).
-  if (kind == ResourceKind::kCpu && config_.gpu_cpu_race && !any_idle_gpu()) {
-    for (const auto& [seq, ref] : tm_.active(ResourceKind::kGpu)) {
-      StageState* stage = nullptr;
-      TaskState* task = nullptr;
-      if (!resolve(ref, &stage, &task)) continue;
-      note_task_checks(1);
-      if (!launchable(*task)) continue;
-      rows.push_back(Row{stage, task, false, db_.lookup(ref.name, task->spec.partition)});
-    }
-  }
-  return rows;
+  return q;
 }
 
-RupamScheduler::Pick RupamScheduler::pick_from_rows(const std::vector<Row>& rows, NodeId node) {
-  Bytes free_mem = cluster().node(node).free_memory();
-  bool node_has_idle_gpu = cluster().node(node).gpus().idle() > 0;
-  std::vector<DispatchTaskView>& views = views_scratch_;
-  views.clear();
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const TaskSpec& spec = rows[i].task->spec;
-    DispatchTaskView v;
-    v.index = i;
-    v.peak_memory = spec.total_memory();
-    v.locality = locality_for(spec, node);
-    if (const TaskCharRecord* rec = rows[i].rec) {
-      // The best-node lock is meaningless for a GPU task when the node's
-      // devices are all busy — its best runtime came from the GPU.
-      if (!rec->gpu || node_has_idle_gpu) {
-        v.opt_executor = rec->opt_executor;
-        v.history_size = rec->history_resources.size();
-      }
-      v.expected_cost = rec->compute_time + rec->shuffle_read + rec->shuffle_write;
+/// Answers select_candidate()'s questions from the scheduler's task state
+/// for one kind-visit (see dispatcher.hpp).
+class RupamScheduler::RowSource {
+ public:
+  RowSource(RupamScheduler& sched, ResourceKind kind) : sched_(sched) {
+    bool races = kind == ResourceKind::kGpu && sched.config_.gpu_cpu_race;
+    add(sched.rows_for(kind), /*head=*/0, kind, races);
+    // The CPU side of the dual-run race (§III-C3, BLAS example): with no
+    // device idle anywhere, the CPU queue also takes the GPU queue's
+    // launchable rows, after its own.
+    if (kind == ResourceKind::kCpu && sched.config_.gpu_cpu_race && !sched.any_idle_gpu()) {
+      add(sched.rows_for(ResourceKind::kGpu), /*head=*/1, ResourceKind::kGpu, false);
     }
-    views.push_back(v);
   }
+
+  std::span<const SegmentUse> uses() const { return {uses_.data(), count_}; }
+  void offer(NodeId node) { node_ = node; }
+
+  bool valid(std::size_t use, std::size_t row) {
+    // A launch parks the task's refs, so a parked ref is stale without
+    // reading its task — unless the GPU queue may race it.
+    if (!races_[use] && !sched_.tm_.ref_active(rows_[use]->candidates.rows()[row].seq)) {
+      return false;
+    }
+    sched_.note_task_checks(1);
+    const TaskState& task = *rows_[use]->tasks[row].second;
+    return sched_.launchable(task) || (races_[use] && sched_.race_eligible(task));
+  }
+  Locality locality(std::size_t use, std::size_t row) const {
+    return sched_.locality_for(rows_[use]->tasks[row].second->spec, node_);
+  }
+  std::span<const std::uint64_t> local(std::size_t use) {
+    return sched_.tm_.local_refs(kinds_[use], node_);
+  }
+  std::pair<StageState*, TaskState*> task(CandidateRef ref) const {
+    return rows_[ref.use]->tasks[ref.row];
+  }
+
+ private:
+  void add(QueueRows& rows, std::size_t head, ResourceKind kind, bool races) {
+    rows_[count_] = &rows;
+    kinds_[count_] = kind;
+    races_[count_] = races;
+    uses_[count_] = SegmentUse{&rows.candidates, &rows.heads[head]};
+    ++count_;
+  }
+
+  RupamScheduler& sched_;
+  std::array<SegmentUse, 2> uses_{};
+  std::array<QueueRows*, 2> rows_{};
+  std::array<ResourceKind, 2> kinds_{};
+  std::array<bool, 2> races_{};
+  std::size_t count_ = 0;
+  NodeId node_ = kInvalidNode;
+};
+
+RupamScheduler::Pick RupamScheduler::pick_for_node(RowSource& source, NodeId node) {
+  source.offer(node);
+  Node& n = cluster().node(node);
+  NodeOffer offer{node, n.free_memory(), n.gpus().idle() > 0};
   DispatcherPolicy policy{config_.opt_executor_lock, config_.memory_guard,
                           config_.memory_guard_headroom};
-  std::optional<std::size_t> chosen;
-  if (pools_.policy == PoolPolicy::kFair) {
-    for (std::size_t p : by_pool_used_) by_pool_[p].clear();
-    by_pool_used_.clear();
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      std::size_t p = pool_of(*rows[i].stage).index();
-      if (by_pool_.size() <= p) by_pool_.resize(p + 1);  // first sight of a pool
-      if (by_pool_[p].empty()) by_pool_used_.push_back(p);
-      by_pool_[p].push_back(views[i]);
-    }
-  }
-  if (by_pool_used_.size() > 1) {
-    // FAIR: Algorithm 2 runs within one pool at a time, pools tried in
-    // fair-share order, so the neediest pool has first claim on the node.
-    for (PoolId pool : fair_pool_order()) {
-      std::size_t p = pool.index();
-      if (p >= by_pool_.size() || by_pool_[p].empty()) continue;
-      chosen = algorithm2_select(by_pool_[p], node, free_mem, policy);
-      if (chosen) break;
-    }
-  } else {
-    chosen = algorithm2_select(views, node, free_mem, policy);
-  }
+  std::optional<CandidateRef> chosen =
+      select_candidate(source.uses(), offer, policy, pool_order_scratch_, source, visit_rows_,
+                       views_scratch_);
   if (!chosen) return {};
-  const Row& row = rows[*chosen];
-  return Pick{row.stage, row.task, row.race};
+  auto [stage, task] = source.task(*chosen);
+  return Pick{stage, task, !launchable(*task)};
 }
 
 const std::vector<RupamScheduler::SpecCandidate>& RupamScheduler::collect_speculative(
@@ -323,20 +335,33 @@ void RupamScheduler::try_dispatch() {
     seed_monitor();
     rm_.sweep_dead(sim().now());
   }
+  // Rows outlive the round, but a row stale now (launched, in backoff)
+  // may be valid in a later round, and a node refused now may be admitted.
+  for (QueueRows& q : rows_) q.heads = {};
+  walk_from_.fill(0);
   int misses = 0;
   while (misses < kNumResourceKinds) {
     ResourceKind kind = round_robin_.next();
-    // One row collection per kind-visit: no task state changes while the
-    // node walk runs (a launch breaks it), so per-node re-collection would
-    // repeat identical work for every ranked node.
-    const std::vector<Row>& rows = collect_rows(kind);
+    RowSource source(*this, kind);
+    std::span<const SegmentUse> uses = source.uses();
     const std::vector<SpecCandidate>* speculative = nullptr;
     auto speculatable = [&]() -> const std::vector<SpecCandidate>& {
       if (speculative == nullptr) speculative = &collect_speculative(kind);
       return *speculative;
     };
+    bool has_rows = any_valid_candidate(uses, source);
+    visit_rows_.filled = false;
     bool launched = false;
-    if (!rows.empty() || !speculatable().empty()) {
+    if (has_rows || !speculatable().empty()) {
+      // FAIR: Algorithm 2 runs within one pool at a time, pools tried in
+      // fair-share order, so the neediest pool has first claim on the node.
+      // The order only changes on a launch, which ends the visit.
+      pool_order_scratch_.clear();
+      if (has_rows && pools_.policy == PoolPolicy::kFair && spans_pools(uses)) {
+        for (PoolId pool : fair_pool_order()) {
+          pool_order_scratch_.push_back(static_cast<std::uint32_t>(pool.index()));
+        }
+      }
       // The kind's priority queue is sorted at most once per round (the
       // monitor is not written until the round ends). Admission is read
       // lazily while walking it: nothing changes state before the walk
@@ -355,12 +380,22 @@ void RupamScheduler::try_dispatch() {
       }
       // Walk the priority queue until a node accepts a task; launch at
       // most one task per kind-visit so no resource type is starved.
+      // Refused nodes stay refused for the rest of the round, so the walk
+      // resumes past the refused prefix of earlier visits.
+      std::size_t& walk_from = walk_from_[static_cast<std::size_t>(kind)];
+      bool refused_prefix = true;
       std::size_t rank = 0;  // position among admitted nodes
-      for (const NodeMetrics* m : *queue) {
-        if (!node_available(*m, kind)) continue;
+      for (std::size_t i = walk_from; i < queue->size(); ++i) {
+        const NodeMetrics* m = (*queue)[i];
+        note_node_visit();
+        if (!node_available(*m, kind)) {
+          if (refused_prefix) walk_from = i + 1;
+          continue;
+        }
+        refused_prefix = false;
         NodeId node = m->node;
         std::size_t node_rank = rank++;
-        Pick pick = rows.empty() ? Pick{} : pick_from_rows(rows, node);
+        Pick pick = has_rows ? pick_for_node(source, node) : Pick{};
         bool speculative_copy = false;
         if (pick.task == nullptr) {
           pick = pick_speculative(speculatable(), node);
@@ -405,6 +440,7 @@ void RupamScheduler::try_dispatch() {
     misses = launched ? 0 : misses + 1;
   }
 }
+
 
 void RupamScheduler::check_memory_straggler(const NodeMetrics& metrics) {
   if (!config_.memory_straggler) return;

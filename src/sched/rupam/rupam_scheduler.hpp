@@ -10,23 +10,31 @@
 // available as long as the offered resource has headroom, not when a core
 // slot frees), memory-straggler relocation, and the CPU↔GPU dual-run race.
 //
-// Dispatch is indexed: per-resource admission reads the base scheduler's
-// live-attempt counters (O(1) per node instead of a scan over every
-// attempt), and the candidate rows for a kind-visit are collected once
-// from the TaskManager's active queue — within a kind-visit no task state
-// changes until a launch breaks the node walk, so the per-node rebuild of
-// the old code did identical work N times.
-//
-// Node ranking happens once per dispatch round per resource kind: the
-// round seeds the ResourceMonitor and nothing writes it again until the
-// round ends, so each kind's sorted queue is reused by every kind-visit of
-// the round. A kind-visit walks that order and checks admission lazily,
-// stopping at its first launch, so a launch costs the nodes walked before
-// it, not an admit-and-sort of all N.
+// Dispatch cost scales with launches, not with queued rows or fleet size:
+//  * admission reads the base scheduler's live-attempt counters (O(1) per
+//    node instead of a scan over every attempt);
+//  * each kind's candidate rows are resolved once and reused by every
+//    kind-visit, in this round and later ones, until the TaskManager's
+//    queues or DB_task_char change (their version() stamps). Launches and
+//    the clock only change whether a row may launch, and that is checked
+//    when the row is used; within a round a row that went stale stays
+//    stale, so each visit skips the stale prefix;
+//  * matching a node against the rows is select_candidate() (pruned
+//    Algorithm 2, dispatcher.hpp): with no lock to the node and no cached
+//    input in play it reads the node's local-ref list and the first
+//    unlocked rows, not a view of every row;
+//  * node ranking happens once per round per kind: the round seeds the
+//    ResourceMonitor and nothing writes it again until the round ends.
+//    A kind-visit walks that order and checks admission lazily, stopping
+//    at its first launch. Within a round a refused node stays refused (the
+//    metrics snapshot is fixed and launches only consume capacity), so
+//    each kind's walk resumes past the refused prefix of its queue.
 #pragma once
 
+#include <array>
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "sched/rupam/dispatcher.hpp"
@@ -91,35 +99,45 @@ class RupamScheduler : public SchedulerBase {
   void task_failed(StageState& stage, TaskState& task, const std::string& reason) override;
   void task_relaunchable(StageState& stage, TaskState& task) override;
 
+  /// Can `node` take one more task whose bottleneck is `kind`? Within a
+  /// dispatch round, where `metrics` is the round's fixed snapshot, a
+  /// refusal holds until the round ends: launches only consume capacity.
+  bool node_available(const NodeMetrics& metrics, ResourceKind kind) const;
+
  private:
   struct Pick {
     StageState* stage = nullptr;
     TaskState* task = nullptr;
     bool gpu_race_copy = false;
   };
-  /// One candidate of a kind-visit: a waiting task (or a running CPU copy
-  /// the GPU queue may race) with its DB record resolved once.
-  struct Row {
-    StageState* stage = nullptr;
-    TaskState* task = nullptr;
-    bool race = false;
-    const TaskCharRecord* rec = nullptr;
+  /// One kind's candidate rows: the pruning inputs plus, in parallel, the
+  /// task each row resolves to.
+  struct QueueRows {
+    CandidateSegment candidates;
+    std::vector<std::pair<StageState*, TaskState*>> tasks;
+    /// [0]: this round's stale prefix as the kind's own visits see it;
+    /// [1]: as the CPU queue borrowing the GPU rows sees it.
+    std::array<std::size_t, 2> heads{};
+    /// TaskManager and DB_task_char versions the rows were built at.
+    std::uint64_t tm_version = ~std::uint64_t{0};
+    std::uint64_t db_version = 0;
   };
   struct SpecCandidate {
     StageState* stage = nullptr;
     TaskState* task = nullptr;
   };
+  class RowSource;
 
-  /// Can `node` take one more task whose bottleneck is `kind`?
-  bool node_available(const NodeMetrics& metrics, ResourceKind kind) const;
-  /// All rows the `kind` queue offers this kind-visit, in queue order:
-  /// active refs that are launchable, plus (GPU queue under racing) parked
-  /// refs whose running task a freed device may poach, plus (CPU queue
-  /// when no device is idle anywhere) the GPU queue's launchable refs.
-  /// Returns a reference into reused scratch — valid until the next call.
-  const std::vector<Row>& collect_rows(ResourceKind kind);
-  /// Algorithm 2 over the collected rows for one node.
-  Pick pick_from_rows(const std::vector<Row>& rows, NodeId node);
+  /// The `kind` queue's rows in queue order: its active refs, plus (GPU
+  /// queue under racing) its parked refs, whose running task a freed
+  /// device may poach. Rebuilt when the TaskManager or DB_task_char
+  /// version moves; whether a row may launch is checked at use.
+  QueueRows& rows_for(ResourceKind kind);
+  /// GPU racing on the CPU side of a task (§III-C3): running on a CPU with
+  /// no device copy yet.
+  bool race_eligible(const TaskState& task) const;
+  /// Algorithm 2 for `node` over a kind-visit's rows.
+  Pick pick_for_node(RowSource& source, NodeId node);
   /// Stragglers whose bottleneck matches `kind` (straggler path of
   /// Algorithm 2), computed once per kind-visit. Reference into scratch.
   const std::vector<SpecCandidate>& collect_speculative(ResourceKind kind);
@@ -140,16 +158,16 @@ class RupamScheduler : public SchedulerBase {
   std::set<TaskId> relocating_;  // guards repeated straggler kills per wave
   std::map<NodeId, SimTime> last_relocation_;  // per-node relocation rate limit
 
-  // Dispatch-path scratch, reused across rounds: capacity settles at the
+  // Dispatch-path state, reused across rounds: capacity settles at the
   // workload's high-water mark, after which kind-visits never allocate.
-  std::vector<Row> rows_scratch_;
+  std::array<QueueRows, kNumResourceKinds> rows_;
+  /// Per kind: queue positions before this were refused this round.
+  std::array<std::size_t, kNumResourceKinds> walk_from_{};
   std::vector<SpecCandidate> spec_scratch_;
+  VisitRows visit_rows_;
   std::vector<DispatchTaskView> views_scratch_;
-  /// Dense PoolId.index() → per-pool views (FAIR bucketing). Buckets keep
-  /// their capacity across rounds; `by_pool_used_` lists the dirty ones so
-  /// clearing is O(pools seen this call), not O(all pools ever).
-  std::vector<std::vector<DispatchTaskView>> by_pool_;
-  std::vector<std::size_t> by_pool_used_;
+  /// Fair pool order (dense pool indices) of the current kind-visit.
+  std::vector<std::uint32_t> pool_order_scratch_;
   /// Audit only: the admitted nodes of the current kind-visit.
   std::vector<NodeId> admitted_scratch_;
 };

@@ -62,10 +62,36 @@ void TaskManager::enqueue(const TaskSpec& spec, StageId stage, std::size_t task_
   StageNameId name = db_.intern_stage(spec.stage_name);
   for (ResourceKind kind : classify(spec)) {
     std::uint64_t seq = next_seq_++;
-    active_[static_cast<std::size_t>(kind)].emplace(
-        seq, PendingRef{stage, task_index, spec.id, name});
+    std::size_t k = static_cast<std::size_t>(kind);
+    active_[k].emplace(seq, PendingRef{stage, task_index, spec.id, name});
     slots.push_back(Slot{kind, seq});
+    state_.push_back(RefState::kActive);
+    for (NodeId node : spec.preferred_nodes) {
+      if (node < 0) continue;
+      std::vector<LocalRefs>& lists = local_[k];
+      if (lists.size() <= static_cast<std::size_t>(node)) lists.resize(node + 1);
+      LocalRefs& refs = lists[static_cast<std::size_t>(node)];
+      // Amortized O(1): a list only ever holds up to about twice the
+      // entries its last prune kept, even if dispatch never reads it.
+      if (refs.seqs.size() >= 2 * refs.kept + 16) prune(refs);
+      refs.seqs.push_back(seq);
+    }
   }
+  ++version_;
+}
+
+void TaskManager::prune(LocalRefs& refs) {
+  std::erase_if(refs.seqs, [this](std::uint64_t seq) { return state_[seq] == RefState::kGone; });
+  refs.pruned_at = finishes_;
+  refs.kept = refs.seqs.size();
+}
+
+std::span<const std::uint64_t> TaskManager::local_refs(ResourceKind kind, NodeId node) {
+  std::vector<LocalRefs>& lists = local_[static_cast<std::size_t>(kind)];
+  if (node < 0 || static_cast<std::size_t>(node) >= lists.size()) return {};
+  LocalRefs& refs = lists[static_cast<std::size_t>(node)];
+  if (refs.pruned_at != finishes_) prune(refs);
+  return refs.seqs;
 }
 
 void TaskManager::note_launched(StageId stage, std::size_t task_index) {
@@ -74,7 +100,9 @@ void TaskManager::note_launched(StageId stage, std::size_t task_index) {
   for (const Slot& slot : it->second) {
     Queue& from = active_[static_cast<std::size_t>(slot.kind)];
     auto node = from.extract(slot.seq);
-    if (!node.empty()) parked_[static_cast<std::size_t>(slot.kind)].insert(std::move(node));
+    if (node.empty()) continue;
+    parked_[static_cast<std::size_t>(slot.kind)].insert(std::move(node));
+    state_[slot.seq] = RefState::kParked;
   }
 }
 
@@ -84,8 +112,11 @@ void TaskManager::note_pending_again(StageId stage, std::size_t task_index) {
   for (const Slot& slot : it->second) {
     Queue& from = parked_[static_cast<std::size_t>(slot.kind)];
     auto node = from.extract(slot.seq);
+    if (node.empty()) continue;
     // Re-inserting under the original seq restores the queue position.
-    if (!node.empty()) active_[static_cast<std::size_t>(slot.kind)].insert(std::move(node));
+    active_[static_cast<std::size_t>(slot.kind)].insert(std::move(node));
+    state_[slot.seq] = RefState::kActive;
+    ++version_;
   }
 }
 
@@ -95,8 +126,11 @@ void TaskManager::note_finished(StageId stage, std::size_t task_index) {
   for (const Slot& slot : it->second) {
     active_[static_cast<std::size_t>(slot.kind)].erase(slot.seq);
     parked_[static_cast<std::size_t>(slot.kind)].erase(slot.seq);
+    state_[slot.seq] = RefState::kGone;
   }
   slots_.erase(it);
+  ++finishes_;
+  ++version_;
 }
 
 const TaskManager::Queue& TaskManager::active(ResourceKind kind) const {
@@ -112,6 +146,10 @@ void TaskManager::clear_queues() {
   for (auto& q : parked_) q.clear();
   slots_.clear();
   next_seq_ = 0;
+  state_.clear();
+  for (auto& lists : local_) lists.clear();
+  ++finishes_;
+  ++version_;
 }
 
 void TaskManager::record_completion(const TaskSpec& spec, const TaskMetrics& metrics) {

@@ -12,14 +12,22 @@
 // *parked* half (refs whose task is running — kept because the attempt
 // may fail, and because the GPU queue races parked refs). Refs move
 // between halves on launch/failure under their original sequence number,
-// so restored refs keep their queue position. Row collection per
-// kind-visit is therefore O(active of that kind), not O(all unfinished
-// tasks).
+// so restored refs keep their queue position.
+//
+// version() changes whenever refs join, return to or leave the queues, but
+// not when a launch parks them: the dispatcher keeps its candidate rows
+// until it changes and checks each row's task state at use.
+//
+// Each queue also keeps, per node, the seqs of its refs whose task prefers
+// that node (NODE_LOCAL candidates), appended at enqueue. Seqs only grow,
+// so these lists stay sorted with no extra work; refs of finished tasks
+// are pruned lazily, and the lists are never rebuilt.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -79,6 +87,19 @@ class TaskManager {
   const Queue& parked(ResourceKind kind) const;
   void clear_queues();
 
+  /// Changes on enqueue, note_pending_again, note_finished and
+  /// clear_queues — not on note_launched.
+  std::uint64_t version() const { return version_; }
+  /// Ascending seqs of `kind`'s queued refs (active or parked) whose task
+  /// lists `node` in preferred_nodes; refs of tasks that finished since the
+  /// list was last read are pruned first. The span is valid until the
+  /// next enqueue, note_finished or clear_queues.
+  std::span<const std::uint64_t> local_refs(ResourceKind kind, NodeId node);
+  /// Is the ref with this seq in its queue's active half (task waiting)?
+  bool ref_active(std::uint64_t seq) const {
+    return seq < state_.size() && state_[seq] == RefState::kActive;
+  }
+
   /// Fold a completed attempt into DB_task_char; marks the stage GPU when
   /// a device was used (the paper tags all tasks of that stage).
   void record_completion(const TaskSpec& spec, const TaskMetrics& metrics);
@@ -91,6 +112,15 @@ class TaskManager {
     ResourceKind kind;
     std::uint64_t seq;
   };
+  enum class RefState : std::uint8_t { kGone, kActive, kParked };
+  struct LocalRefs {
+    std::vector<std::uint64_t> seqs;
+    /// finishes_ at the last prune, and the entries it kept.
+    std::uint64_t pruned_at = 0;
+    std::size_t kept = 0;
+  };
+  /// Drop the seqs of finished tasks.
+  void prune(LocalRefs& refs);
 
   TaskCharDb& db_;
   TaskManagerConfig config_;
@@ -99,6 +129,13 @@ class TaskManager {
   /// (stage, task_index) → every ref the task holds across queues.
   std::map<std::pair<StageId, std::size_t>, std::vector<Slot>> slots_;
   std::uint64_t next_seq_ = 0;
+  std::uint64_t version_ = 0;
+  /// Seq → which half holds the ref, or kGone once its task finished.
+  std::vector<RefState> state_;
+  /// Per kind, NodeId → local refs.
+  std::array<std::vector<LocalRefs>, kNumResourceKinds> local_;
+  /// Bumped by note_finished: a list pruned since is current.
+  std::uint64_t finishes_ = 0;
 };
 
 }  // namespace rupam

@@ -495,6 +495,20 @@ TEST(Comparator, VerdictsRespectDirectionAndTolerance) {
   }
 }
 
+TEST(Comparator, ScanReductionIsHigherIsBetter) {
+  // scale_fleet's `*_scan_reduction` is full-scan work over work done: a
+  // leaner dispatch path raises it, and that must not fail a strict gate.
+  EXPECT_FALSE(metric_lower_is_better("n100_RUPAM_scan_reduction"));
+  ComparisonReport rep = compare_json_text(R"({"n100_RUPAM_scan_reduction": 1439.4})",
+                                           R"({"n100_RUPAM_scan_reduction": 115787.0})");
+  ASSERT_EQ(rep.deltas.size(), 1u);
+  EXPECT_EQ(rep.deltas[0].verdict, Verdict::kImproved);
+  EXPECT_FALSE(rep.has_regressions());
+  ComparisonReport worse = compare_json_text(R"({"n100_RUPAM_scan_reduction": 1439.4})",
+                                             R"({"n100_RUPAM_scan_reduction": 92.3})");
+  EXPECT_TRUE(worse.has_regressions());
+}
+
 TEST(Comparator, ConfidenceIntervalsAbsorbLooseDeltas) {
   // 15% slower, but both CIs are wide: the move is not significant.
   std::string base = R"({"cells": [{"scheduler": "spark", "fleet_size": 12,

@@ -252,5 +252,33 @@ TEST(FleetE2E, NodeWalkersVisitAtMostTwoNodesPerLaunch) {
   }
 }
 
+// RUPAM resolves each queue's rows once per dispatch round and matches a
+// node through its local refs, so the tasks it examines track launches,
+// not queued rows x launches; its node walk resumes past refused nodes.
+TEST(FleetE2E, RupamChecksAtMostEightTasksPerLaunch) {
+  FleetSpec spec = scaled_hydra_fleet(200, 1);
+  std::vector<NodeSpec> nodes = generate_fleet(spec);
+  WorkloadPreset preset = workload_preset("TeraSort");
+  preset.input_gb = 25.0;
+
+  SimulationConfig cfg;
+  cfg.scheduler = SchedulerKind::kRupam;
+  cfg.nodes = nodes;
+  cfg.speculation.enabled = false;  // straggler scans are a separate subsystem
+  Simulation sim(cfg);
+  Application app = build_workload(preset, sim.cluster().node_ids(), /*seed=*/1,
+                                   /*iterations_override=*/0,
+                                   hdfs_placement_weights(sim.cluster()));
+  sim.run(app);
+  const auto& work = sim.scheduler().dispatch_work();
+  std::size_t launches = sim.scheduler().launches();
+  EXPECT_GE(launches, app.total_tasks());
+  EXPECT_LE(work.task_checks, 8 * launches)
+      << "task_checks=" << work.task_checks << " launches=" << launches;
+  EXPECT_GT(work.node_visits, 0u);
+  EXPECT_LE(work.node_visits, 2 * launches)
+      << "node_visits=" << work.node_visits << " launches=" << launches;
+}
+
 }  // namespace
 }  // namespace rupam

@@ -390,6 +390,34 @@ TEST(DecisionAudit, RupamRecordsTagQueueAndHeapRank) {
   EXPECT_GT(heap_matches, 0u);
 }
 
+// `rank=` is the chosen node's place among the nodes the kind admitted
+// this visit, in queue order — exactly its index in candidate_nodes. The
+// node walk resumes past nodes refused earlier in the round; it must never
+// skip an admitted node, or the rank would drift below that index.
+TEST(DecisionAudit, RupamRankIsTheNodesPlaceAmongAdmittedNodes) {
+  std::size_t ranked = 0, behind_head = 0;
+  for (const char* workload : {"TeraSort", "PR", "LR"}) {
+    SimulationConfig cfg;
+    cfg.scheduler = SchedulerKind::kRupam;
+    cfg.enable_audit = true;
+    Simulation sim(cfg);
+    Application app = build_workload(workload_preset(workload), sim.cluster().node_ids(), 1,
+                                     0, hdfs_placement_weights(sim.cluster()));
+    sim.run(app);
+    for (const DispatchDecision& d : sim.audit()->decisions()) {
+      std::size_t at = d.detail.find("rank=");
+      if (at == std::string::npos) continue;
+      std::size_t rank = std::stoul(d.detail.substr(at + 5));
+      ASSERT_LT(rank, d.candidate_nodes.size()) << workload << ": " << d.detail;
+      EXPECT_EQ(d.candidate_nodes[rank], d.node) << workload << ": " << d.detail;
+      ++ranked;
+      if (rank > 0) ++behind_head;
+    }
+  }
+  EXPECT_GT(ranked, 0u);
+  EXPECT_GT(behind_head, 0u);  // admitted nodes without a fitting task were passed over
+}
+
 TEST(DecisionAudit, GpuTaskPlacedOnGpuNodeFromGpuQueue) {
   SimulationConfig cfg;
   cfg.scheduler = SchedulerKind::kRupam;

@@ -7,6 +7,9 @@
 
 #include "app/simulation.hpp"
 #include "cluster/presets.hpp"
+#include "common/rng.hpp"
+#include "exec/executor.hpp"
+#include "sched/rupam/rupam_scheduler.hpp"
 #include "workloads/presets.hpp"
 
 namespace rupam {
@@ -240,6 +243,97 @@ TEST(RupamScheduler, DbClearedBetweenFreshSimulations) {
   EXPECT_GT(a.rupam_scheduler()->db().size(), 0u);
   Simulation b(cfg);
   EXPECT_EQ(b.rupam_scheduler()->db().size(), 0u);
+}
+
+// RUPAM's admission check and launch path, with dispatch left to the test.
+class AdmissionProbe : public RupamScheduler {
+ public:
+  using RupamScheduler::RupamScheduler;
+
+  /// node_available against the monitor's current snapshot.
+  bool admits(NodeId node, ResourceKind kind) {
+    const NodeMetrics* m = resource_monitor().latest(node);
+    return m != nullptr && node_available(*m, kind);
+  }
+  /// Launch the first launchable task on `node`, billed to `kind`.
+  bool launch_one(NodeId node, ResourceKind kind) {
+    for (auto& [id, stage] : stages_) {
+      for (TaskState& task : stage.tasks) {
+        if (launchable(task)) return launch_task(stage, task, node, false, false, kind);
+      }
+    }
+    return false;
+  }
+
+ protected:
+  void try_dispatch() override {}
+};
+
+// The resumable node walk skips, for the rest of a dispatch round, the
+// nodes a kind already refused. That is sound because admission is
+// monotone within a round: the metrics snapshot is fixed, and launches
+// only consume slots, per-kind commitments and device/disk/NIC capacity.
+TEST(RupamScheduler, AdmissionIsMonotoneWithinARound) {
+  for (bool overcommit : {true, false}) {
+    Simulator sim;
+    Cluster cluster(sim);
+    build_hydra(cluster);
+    std::vector<std::unique_ptr<Executor>> executors;
+    SchedulerEnv env;
+    env.sim = &sim;
+    env.cluster = &cluster;
+    Rng rng(7);
+    for (NodeId id : cluster.node_ids()) {
+      executors.push_back(
+          std::make_unique<Executor>(sim, cluster.node(id), id, ExecutorConfig{}, rng.split()));
+      env.executors.push_back(executors.back().get());
+    }
+    RupamConfig config;
+    config.overcommit = overcommit;
+    AdmissionProbe sched(env, config);
+
+    TaskSet set;
+    set.stage_name = "s0";
+    for (int i = 0; i < 400; ++i) {
+      TaskSpec t = small_task(static_cast<TaskId>(i), 20.0);
+      t.stage_name = set.stage_name;
+      t.peak_memory = rng.uniform(64.0, 2048.0) * kMiB;
+      t.input_bytes = rng.uniform(0.0, 512.0) * kMiB;
+      t.shuffle_write_bytes = rng.uniform(0.0, 256.0) * kMiB;
+      set.tasks.push_back(t);
+    }
+    sched.submit(set);
+    // One round's snapshot, then launches without re-seeding it.
+    for (NodeId id : cluster.node_ids()) sched.resource_monitor().record(cluster.node(id).metrics());
+
+    std::set<std::pair<NodeId, int>> refused;
+    auto note_refusals = [&] {
+      for (NodeId id : cluster.node_ids()) {
+        for (int k = 0; k < kNumResourceKinds; ++k) {
+          if (!sched.admits(id, static_cast<ResourceKind>(k))) refused.emplace(id, k);
+        }
+      }
+    };
+    note_refusals();
+    std::size_t refused_at_start = refused.size();
+    int launches = 0;
+    for (int step = 0; step < 2000 && launches < 400; ++step) {
+      NodeId node = static_cast<NodeId>(rng.uniform_index(cluster.size()));
+      auto kind = static_cast<ResourceKind>(rng.uniform_index(kNumResourceKinds));
+      if (!sched.admits(node, kind)) continue;
+      ASSERT_TRUE(sched.launch_one(node, kind));
+      ++launches;
+      for (const auto& [id, k] : refused) {
+        EXPECT_FALSE(sched.admits(id, static_cast<ResourceKind>(k)))
+            << "overcommit=" << overcommit << ": node " << id << " kind " << k
+            << " admitted again after launch " << launches;
+      }
+      note_refusals();
+    }
+    EXPECT_GT(launches, 50) << "overcommit=" << overcommit;
+    // Launches did consume capacity: more (node, kind) pairs refuse now.
+    EXPECT_GT(refused.size(), refused_at_start) << "overcommit=" << overcommit;
+  }
 }
 
 }  // namespace

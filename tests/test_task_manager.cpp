@@ -1,6 +1,9 @@
 // Algorithm 1 (task characterization) and DB_task_char behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "sched/rupam/task_manager.hpp"
 
 namespace rupam {
@@ -154,6 +157,69 @@ TEST(TaskManager, ParkAndRestorePreservesQueuePosition) {
   EXPECT_EQ(tm.active(ResourceKind::kCpu).size(), 1u);
   EXPECT_EQ(tm.parked(ResourceKind::kCpu).size(), 0u);
   EXPECT_EQ(tm.active(ResourceKind::kCpu).begin()->second.task_index, 2u);
+}
+
+TEST(TaskManager, VersionMovesOnQueueChangesButNotOnLaunch) {
+  TaskCharDb db;
+  TaskManager tm(db);
+  std::uint64_t v0 = tm.version();
+  tm.enqueue(spec_named("m", 0, true), 1, 0);
+  std::uint64_t v1 = tm.version();
+  EXPECT_NE(v1, v0);
+  // A launch only parks refs: dispatch rows stay, checked at use.
+  tm.note_launched(1, 0);
+  EXPECT_EQ(tm.version(), v1);
+  tm.note_pending_again(1, 0);
+  std::uint64_t v2 = tm.version();
+  EXPECT_NE(v2, v1);
+  tm.note_finished(1, 0);
+  EXPECT_NE(tm.version(), v2);
+}
+
+TEST(TaskManager, LocalRefsListPreferringRefsAndDropFinishedOnes) {
+  TaskCharDb db;
+  TaskManager tm(db);
+  TaskSpec a = spec_named("m", 0, true);
+  a.preferred_nodes = {2, 5};
+  TaskSpec b = spec_named("m", 1, true);
+  b.preferred_nodes = {5};
+  TaskSpec c = spec_named("r", 0, false);  // network queue only
+  c.preferred_nodes = {5};
+  tm.enqueue(a, 1, 0);
+  tm.enqueue(b, 1, 1);
+  tm.enqueue(c, 2, 0);
+  auto seq_of = [&](ResourceKind kind, std::size_t task_index, StageId stage) {
+    for (const auto& [seq, ref] : tm.active(kind)) {
+      if (ref.stage == stage && ref.task_index == task_index) return seq;
+    }
+    return ~std::uint64_t{0};
+  };
+  auto local = [&](ResourceKind kind, NodeId node) {
+    auto refs = tm.local_refs(kind, node);
+    return std::vector<std::uint64_t>(refs.begin(), refs.end());
+  };
+  std::uint64_t a_cpu = seq_of(ResourceKind::kCpu, 0, 1);
+  std::uint64_t b_cpu = seq_of(ResourceKind::kCpu, 1, 1);
+  EXPECT_EQ(local(ResourceKind::kCpu, 5), (std::vector<std::uint64_t>{a_cpu, b_cpu}));
+  EXPECT_EQ(local(ResourceKind::kCpu, 2), std::vector<std::uint64_t>{a_cpu});
+  EXPECT_TRUE(local(ResourceKind::kCpu, 0).empty());
+  EXPECT_TRUE(local(ResourceKind::kCpu, 99).empty());
+  std::vector<std::uint64_t> net = local(ResourceKind::kNetwork, 5);
+  EXPECT_EQ(net.size(), 3u);  // a, b, c
+  EXPECT_TRUE(std::is_sorted(net.begin(), net.end()));
+
+  // Parked refs stay listed (a failure may restore them); only the seq's
+  // active half reports them waiting.
+  tm.note_launched(1, 0);
+  EXPECT_EQ(local(ResourceKind::kCpu, 5), (std::vector<std::uint64_t>{a_cpu, b_cpu}));
+  EXPECT_FALSE(tm.ref_active(a_cpu));
+  EXPECT_TRUE(tm.ref_active(b_cpu));
+  // Finished refs are pruned on the next read.
+  tm.note_finished(1, 0);
+  EXPECT_EQ(local(ResourceKind::kCpu, 5), std::vector<std::uint64_t>{b_cpu});
+  EXPECT_TRUE(local(ResourceKind::kCpu, 2).empty());
+  tm.clear_queues();
+  EXPECT_TRUE(local(ResourceKind::kCpu, 5).empty());
 }
 
 TEST(TaskCharDb, LookupMissReturnsNull) {
