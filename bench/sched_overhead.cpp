@@ -6,26 +6,42 @@
 // (pre-existing, tracked in ROADMAP.md); every scheduler completes TC.
 //
 // Each scheduler runs the workload in separate Simulations: a pilot run
-// counts dispatch rounds, then five identical measured runs gate heap
+// counts dispatch rounds, then seven identical measured runs gate heap
 // allocations over the second half of those rounds — by then every scratch
 // buffer, symbol table and queue has reached its high-water capacity, so
-// those rounds are the steady state. A scheduler's reported figures are
-// those of its measured run with the median dispatch mean: one run per
-// scheduler let a single preempted run swing the RUPAM/FIFO ratio past its
-// budget on a shared host. Two regression gates (nonzero exit on failure):
+// those rounds are the steady state. Each reported timing is its median
+// over the measured runs, and the other figures are those of the run with
+// the median dispatch mean: one run per scheduler let a single preempted
+// run swing the RUPAM/FIFO ratio past its budget on a shared host. Two
+// regression gates (nonzero exit on failure):
 //
 //  * steady-state dispatch rounds that launch nothing must perform ZERO
 //    heap allocations, in every measured run, with observers
 //    (trace/audit/metrics) disabled — the
 //    interned-symbol/flat-index dispatch path holds no per-round strings
 //    or maps;
-//  * RUPAM's median mean per-dispatch wall cost must stay within 10x
+//  * RUPAM's median mean per-dispatch cost must stay within 10x
 //    FIFO's (supports the paper's claim that the extra bookkeeping keeps
 //    scheduler delay "moderate").
+//
+// The timing keys are host-normalised (see Calibration below), so CI's
+// strict comparison against bench/baselines/ judges the code, not the
+// runner: every `*_mean_ns` and `*_total_ms` key is scaled to a reference
+// host, and the raw figures stay in the report as `*_raw_ns` / `*_raw_ms`
+// drift keys, which the comparator reports but never counts as a
+// regression. `<S>_speculation_checks` (tasks the straggler scan examined)
+// is deterministic and gated as is.
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <queue>
+#include <random>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "obs/overhead.hpp"
@@ -69,16 +85,94 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::f
 namespace {
 
 constexpr double kMaxRupamOverFifo = 10.0;
-constexpr int kMeasuredRuns = 5;
+constexpr int kMeasuredRuns = 7;
+
+// ---------------------------------------------------------------------------
+// Host-speed calibration. Raw section means move with the host: the same
+// code read 57-119% slower on a shared 4-core VM than on the host that
+// captured the baseline. So the bench times a fixed reference kernel in a
+// slice before and after every measured run, and scales that run's timings
+// to a host that runs one kernel step in kNominalStepNs, judged by the mean
+// of its two neighbouring slices: contention that slows a run also slows
+// the slices around it. The kernel is a small
+// discrete-event loop with the simulator's memory habits: a binary heap of
+// timed events, hash-map lookups into 10k heap objects and short-lived
+// allocations, about 2 MiB. It lives in this file, so a change to src/
+// cannot speed it up; a slower scheduler still reads slower.
+// ---------------------------------------------------------------------------
+constexpr double kNominalStepNs = 300.0;
+constexpr int kCalibrationSteps = 100000;
+
+class Calibration {
+ public:
+  Calibration() {
+    for (std::uint32_t i = 0; i < kObjects; ++i) {
+      auto o = std::make_unique<Object>();
+      o->tail.assign(tail_size(i), i);
+      objects_[key(i)] = std::move(o);
+    }
+    for (std::uint32_t i = 0; i < kObjects; ++i) {
+      queue_.push({static_cast<double>(rng_() % 1000), i});
+    }
+  }
+
+  /// Time one slice; returns (and keeps) its nanoseconds per step.
+  double slice() {
+    auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < kCalibrationSteps; ++i) step();
+    auto ns = std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - start);
+    step_ns_.push_back(ns.count() / kCalibrationSteps);
+    return step_ns_.back();
+  }
+  /// Median nanoseconds per step over every slice.
+  double step_ns() const {
+    std::vector<double> v = step_ns_;
+    auto mid = v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2);
+    std::nth_element(v.begin(), mid, v.end());
+    return *mid;
+  }
+
+ private:
+  static constexpr std::uint32_t kObjects = 10000;
+  struct Object {
+    std::uint64_t fields[6] = {};
+    std::vector<std::uint32_t> tail;
+  };
+  static std::uint32_t key(std::uint32_t id) { return id * 2654435761u; }
+  static std::size_t tail_size(std::uint32_t id) { return 4 + id % 13; }
+
+  void step() {
+    auto [t, id] = queue_.top();
+    queue_.pop();
+    Object& o = *objects_[key(id)];
+    o.fields[id % 6] += static_cast<std::uint64_t>(t);
+    if (id % 3 == 0) {
+      std::vector<std::uint32_t> fresh(tail_size(id), id);
+      o.tail.swap(fresh);
+    }
+    queue_.push({t + static_cast<double>(rng_() % 1000) * 0.01 + 0.001, id});
+  }
+
+  std::mt19937_64 rng_{12345};
+  std::priority_queue<std::pair<double, std::uint32_t>,
+                      std::vector<std::pair<double, std::uint32_t>>, std::greater<>>
+      queue_;
+  std::unordered_map<std::uint32_t, std::unique_ptr<Object>> objects_;
+  std::vector<double> step_ns_;
+};
 
 struct MeasuredRun {
   rupam::OverheadProfiler profiler;
   std::size_t launches = 0;
   double makespan = 0.0;
   rupam::KernelStats kernel{};
+  std::size_t speculation_checks = 0;
+  /// This host's nanoseconds → reference-host ones, around this run.
+  double scale = 1.0;
 
+  /// Host-normalised, like every reported timing.
   double dispatch_mean_ns() const {
-    return profiler.section(rupam::ProfileSection::kDispatch).mean_ns();
+    return profiler.section(rupam::ProfileSection::kDispatch).mean_ns() * scale;
   }
 };
 
@@ -87,8 +181,20 @@ struct SchedulerProfile {
 
   rupam::SchedulerKind kind;
   std::array<MeasuredRun, kMeasuredRuns> runs;
-  /// The run with the median dispatch mean: every reported figure is its.
+  /// The run with the median dispatch mean: the non-timing figures are
+  /// its. Each timing key is its own median over the runs.
   const MeasuredRun* median = nullptr;
+
+  /// Median over the measured runs of a section's mean wall time,
+  /// host-normalised or raw.
+  double median_mean_ns(rupam::ProfileSection section, bool normalised) const {
+    std::array<double, kMeasuredRuns> v{};
+    for (int i = 0; i < kMeasuredRuns; ++i) {
+      v[i] = runs[i].profiler.section(section).mean_ns() * (normalised ? runs[i].scale : 1.0);
+    }
+    std::sort(v.begin(), v.end());
+    return v[kMeasuredRuns / 2];
+  }
   /// Steady-state scan allocations summed over every measured run.
   std::uint64_t scan_allocs = 0;
 };
@@ -105,6 +211,7 @@ int main(int argc, char** argv) {
       SchedulerProfile(SchedulerKind::kFifo), SchedulerProfile(SchedulerKind::kSpark),
       SchedulerProfile(SchedulerKind::kStageAware), SchedulerProfile(SchedulerKind::kHeft),
       SchedulerProfile(SchedulerKind::kRupam)};
+  Calibration calibration;
   for (SchedulerProfile& p : profiles) {
     SimulationConfig cfg;
     cfg.scheduler = p.kind;
@@ -125,6 +232,7 @@ int main(int argc, char** argv) {
     // Measured runs: wall-clock sections over every round, allocation
     // accounting (sampled around each try_dispatch by the scheduler base)
     // over the post-warm-up half only.
+    double before = calibration.slice();
     for (MeasuredRun& run : p.runs) {
       Simulation sim(cfg);
       sim.set_profiler(&run.profiler);
@@ -137,6 +245,10 @@ int main(int argc, char** argv) {
       run.profiler.set_alloc_counter(nullptr);
       run.launches = sim.scheduler().launches();
       run.kernel = sim.sim().stats();
+      run.speculation_checks = sim.scheduler().dispatch_work().speculation_checks;
+      double after = calibration.slice();
+      run.scale = kNominalStepNs / (0.5 * (before + after));
+      before = after;
       p.scan_allocs += run.profiler.alloc_stats().scan_allocs;
     }
     std::array<const MeasuredRun*, kMeasuredRuns> by_mean;
@@ -149,29 +261,41 @@ int main(int argc, char** argv) {
 
   bench::JsonReport json("sched_overhead");
   TextTable table({"Scheduler", "Dispatch rounds", "Launches", "Dispatch mean (ns)",
-                   "Scan allocs", "Launch allocs/round", "Heap maint (ns)", "Heartbeat (ns)"});
+                   "Scan allocs", "Launch allocs/round", "Heap maint (ns)", "Heartbeat (ns)",
+                   "Spec checks"});
   bool scan_alloc_free = true;
   std::uint64_t scan_allocs_total = 0;
   for (SchedulerProfile& p : profiles) {
     const MeasuredRun& run = *p.median;
     json.record_kernel(run.kernel);
     const SectionStats& dispatch = run.profiler.section(ProfileSection::kDispatch);
-    const SectionStats& heap = run.profiler.section(ProfileSection::kHeapMaintenance);
-    const SectionStats& hb = run.profiler.section(ProfileSection::kHeartbeat);
-    const SectionStats& enq = run.profiler.section(ProfileSection::kEnqueue);
     const AllocStats& allocs = run.profiler.alloc_stats();
     table.add_row({std::string(to_string(p.kind)), std::to_string(dispatch.count),
-                   std::to_string(run.launches), format_fixed(dispatch.mean_ns(), 0),
+                   std::to_string(run.launches),
+                   format_fixed(p.median_mean_ns(ProfileSection::kDispatch, true), 0),
                    std::to_string(p.scan_allocs),
                    format_fixed(allocs.launch_allocs_per_round(), 2),
-                   format_fixed(heap.mean_ns(), 0), format_fixed(hb.mean_ns(), 0)});
+                   format_fixed(p.median_mean_ns(ProfileSection::kHeapMaintenance, true), 0),
+                   format_fixed(p.median_mean_ns(ProfileSection::kHeartbeat, true), 0),
+                   std::to_string(run.speculation_checks)});
     std::string prefix(to_string(p.kind));
-    json.add(prefix + "_dispatch_mean_ns", dispatch.mean_ns());
+    // Normalised to the reference host (gated), raw beside it (drift only).
+    auto add_ns = [&](const std::string& key, ProfileSection section) {
+      json.add(prefix + key + "_ns", p.median_mean_ns(section, true));
+      json.add(prefix + key + "_raw_ns", p.median_mean_ns(section, false));
+    };
+    // Every run executes the same rounds, so the total follows the mean.
+    double rounds_ms = static_cast<double>(dispatch.count) / 1e6;
+    add_ns("_dispatch_mean", ProfileSection::kDispatch);
     json.add(prefix + "_dispatch_rounds", static_cast<double>(dispatch.count));
-    json.add(prefix + "_dispatch_total_ms", static_cast<double>(dispatch.total_ns) / 1e6);
-    json.add(prefix + "_heap_maintenance_mean_ns", heap.mean_ns());
-    json.add(prefix + "_heartbeat_mean_ns", hb.mean_ns());
-    json.add(prefix + "_enqueue_mean_ns", enq.mean_ns());
+    json.add(prefix + "_dispatch_total_ms",
+             p.median_mean_ns(ProfileSection::kDispatch, true) * rounds_ms);
+    json.add(prefix + "_dispatch_total_raw_ms",
+             p.median_mean_ns(ProfileSection::kDispatch, false) * rounds_ms);
+    add_ns("_heap_maintenance_mean", ProfileSection::kHeapMaintenance);
+    add_ns("_heartbeat_mean", ProfileSection::kHeartbeat);
+    add_ns("_enqueue_mean", ProfileSection::kEnqueue);
+    json.add(prefix + "_speculation_checks", static_cast<double>(run.speculation_checks));
     json.add(prefix + "_makespan_s", run.makespan);
     json.add(prefix + "_scan_rounds", static_cast<double>(allocs.scan_rounds));
     json.add(prefix + "_scan_allocs", static_cast<double>(p.scan_allocs));
@@ -187,15 +311,19 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  double fifo_mean = profiles[0].median->dispatch_mean_ns();
-  double rupam_mean = profiles[4].median->dispatch_mean_ns();
+  double fifo_mean = profiles[0].median_mean_ns(ProfileSection::kDispatch, true);
+  double rupam_mean = profiles[4].median_mean_ns(ProfileSection::kDispatch, true);
   double ratio = fifo_mean > 0.0 ? rupam_mean / fifo_mean : 0.0;
   json.add("rupam_over_fifo_dispatch_ratio", ratio);
+  json.add("calibration_step_raw_ns", calibration.step_ns());
   json.add("steady_scan_allocs_total", static_cast<double>(scan_allocs_total));
   json.add("workload", workload);
   json.write();
 
-  std::cout << "\nRUPAM/FIFO mean dispatch cost: " << format_fixed(ratio, 2)
+  std::cout << "\nTimes in reference-host ns: this host ran the calibration kernel at "
+            << format_fixed(calibration.step_ns(), 1) << " ns/step (reference "
+            << format_fixed(kNominalStepNs, 0) << ").\n";
+  std::cout << "RUPAM/FIFO mean dispatch cost: " << format_fixed(ratio, 2)
             << "x (budget " << format_fixed(kMaxRupamOverFifo, 0) << "x)\n";
   if (!scan_alloc_free) return 1;
   if (ratio > kMaxRupamOverFifo) {

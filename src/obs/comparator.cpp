@@ -118,6 +118,8 @@ bool metric_lower_is_better(std::string_view key) {
   return true;
 }
 
+bool metric_is_drift(std::string_view key) { return contains(key, "_raw_"); }
+
 ComparisonReport compare_runs(const JsonValue& base, const JsonValue& test,
                               const ComparisonConfig& config) {
   MetricMap base_metrics = flatten(base);
@@ -165,7 +167,7 @@ ComparisonReport compare_runs(const JsonValue& base, const JsonValue& test,
     double magnitude = std::max(std::abs(b.mean), std::abs(t.mean));
     bool significant = std::abs(d.delta) > b.ci95 + t.ci95 &&
                        std::abs(d.delta) > config.rel_tolerance * magnitude;
-    if (!significant) {
+    if (!significant || metric_is_drift(key)) {
       d.verdict = Verdict::kWithinNoise;
       ++report.within_noise;
     } else if ((d.delta < 0.0) == d.lower_is_better) {

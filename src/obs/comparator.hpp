@@ -61,6 +61,10 @@ struct ComparisonReport {
 /// DESIGN.md §13) defaulting to lower-is-better.
 bool metric_is_comparable(std::string_view key);
 bool metric_lower_is_better(std::string_view key);
+/// Drift keys (`*_raw_*`: raw host timings a bench also reports
+/// host-normalised) are compared and listed, but their verdict is always
+/// within_noise: they describe the runner, not the code.
+bool metric_is_drift(std::string_view key);
 
 /// Diff two parsed documents. Formats are auto-detected per document: an
 /// object with a "cells" array is a sweep matrix (cells matched by their

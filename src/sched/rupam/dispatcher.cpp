@@ -50,18 +50,73 @@ void CandidateSegment::clear() {
   by_lock_node_.clear();
   by_lock_node_sorted_ = true;
   cached_ = 0;
-  multi_pool_ = false;
+  tombstones_ = 0;
+  pool_rows_.clear();
+  pools_ = 0;
+}
+
+void CandidateSegment::account(std::size_t i, bool add) {
+  const CandidateRow& row = rows_[i];
+  if (row.cached_input) add ? ++cached_ : --cached_;
+  if (pool_rows_.size() <= row.pool) pool_rows_.resize(row.pool + 1, 0);
+  std::size_t& in_pool = pool_rows_[row.pool];
+  if (add && in_pool++ == 0) ++pools_;
+  if (!add && --in_pool == 0) --pools_;
+  if (row.opt_executor == kInvalidNode) return;
+  std::pair<NodeId, std::size_t> key{row.opt_executor, i};
+  auto at = std::lower_bound(locked_.begin(), locked_.end(), i);
+  if (add) {
+    // Appends land at the end; a patched row goes back to its place.
+    locked_.insert(at, i);
+    by_lock_node_.push_back(key);
+    by_lock_node_sorted_ = false;
+    return;
+  }
+  locked_.erase(at);
+  by_lock_node_.erase(by_lock_node_sorted_
+                          ? std::lower_bound(by_lock_node_.begin(), by_lock_node_.end(), key)
+                          : std::find(by_lock_node_.begin(), by_lock_node_.end(), key));
 }
 
 void CandidateSegment::push(const CandidateRow& row) {
-  if (!rows_.empty() && row.pool != rows_.front().pool) multi_pool_ = true;
-  if (row.cached_input) ++cached_;
-  if (row.opt_executor != kInvalidNode) {
-    locked_.push_back(rows_.size());
-    by_lock_node_.emplace_back(row.opt_executor, rows_.size());
-    by_lock_node_sorted_ = false;
-  }
   rows_.push_back(row);
+  account(rows_.size() - 1, true);
+}
+
+void CandidateSegment::erase(std::size_t i) {
+  account(i, false);
+  rows_[i].gone = true;
+  ++tombstones_;
+}
+
+void CandidateSegment::replace(std::size_t i, const CandidateRow& row) {
+  if (rows_[i].gone) {
+    --tombstones_;
+  } else {
+    account(i, false);
+  }
+  rows_[i] = row;
+  account(i, true);
+}
+
+void CandidateSegment::compact() {
+  std::erase_if(rows_, [](const CandidateRow& r) { return r.gone; });
+  // Re-derive the index-keyed aggregates over the shifted rows.
+  locked_.clear();
+  by_lock_node_.clear();
+  by_lock_node_sorted_ = true;
+  cached_ = 0;
+  tombstones_ = 0;
+  std::fill(pool_rows_.begin(), pool_rows_.end(), 0);
+  pools_ = 0;
+  for (std::size_t i = 0; i < rows_.size(); ++i) account(i, true);
+}
+
+std::uint32_t CandidateSegment::first_pool() const {
+  for (std::size_t p = 0; p < pool_rows_.size(); ++p) {
+    if (pool_rows_[p] > 0) return static_cast<std::uint32_t>(p);
+  }
+  return 0;
 }
 
 std::size_t CandidateSegment::find(std::uint64_t seq) const {
@@ -86,7 +141,7 @@ bool spans_pools(std::span<const SegmentUse> uses) {
   const CandidateSegment* first = nullptr;
   for (const SegmentUse& use : uses) {
     const CandidateSegment& seg = *use.segment;
-    if (seg.size() == 0) continue;
+    if (seg.live() == 0) continue;
     if (seg.multi_pool() || (first != nullptr && seg.first_pool() != first->first_pool())) {
       return true;
     }

@@ -75,11 +75,19 @@ struct CandidateRow {
   bool gpu_record = false;
   /// The task reads a cached block, so it may be PROCESS_LOCAL somewhere.
   bool cached_input = false;
+  /// Tombstone: the row's task launched or finished. It keeps its index
+  /// until the segment compacts, and no aggregate counts it.
+  bool gone = false;
 };
 
 /// One resource queue's candidate rows, in queue order, with the indexes
-/// select_candidate() prunes by. Built once and reused while the queue is
-/// unchanged; whether a row may launch is asked at use.
+/// select_candidate() prunes by. Kept by delta while the queue changes:
+/// rows are appended at enqueue, tombstoned when their task launches or
+/// finishes, revived when it waits again and patched when DB_task_char
+/// learns about their task. Whether a row may launch is asked at use.
+/// Every aggregate (cached-input count, pools, lock indexes) covers
+/// exactly the live rows, as if the segment had been built from them
+/// alone.
 class CandidateSegment {
  public:
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
@@ -87,28 +95,44 @@ class CandidateSegment {
   void clear();
   /// Append a row; seqs must ascend.
   void push(const CandidateRow& row);
+  /// Tombstone live row `i`.
+  void erase(std::size_t i);
+  /// Replace row `i` with `row` (same seq); a tombstone comes back live.
+  void replace(std::size_t i, const CandidateRow& row);
+  /// Drop the tombstones: live rows keep their order, indexes shift down.
+  void compact();
 
+  /// Live rows and tombstones, in queue order.
   const std::vector<CandidateRow>& rows() const { return rows_; }
   std::size_t size() const { return rows_.size(); }
-  /// Row index holding `seq`, or npos.
+  std::size_t live() const { return rows_.size() - tombstones_; }
+  std::size_t tombstones() const { return tombstones_; }
+  /// Row index holding `seq` (live or tombstone), or npos.
   std::size_t find(std::uint64_t seq) const;
   bool has_cached_input() const { return cached_ > 0; }
-  /// True when the rows span more than one pool.
-  bool multi_pool() const { return multi_pool_; }
-  std::uint32_t first_pool() const { return rows_.empty() ? 0 : rows_.front().pool; }
-  /// Rows carrying an opt_executor, ascending.
+  /// True when the live rows span more than one pool.
+  bool multi_pool() const { return pools_ > 1; }
+  /// The live rows' pool when they share one (0 with no live row).
+  std::uint32_t first_pool() const;
+  /// Live rows carrying an opt_executor, ascending.
   const std::vector<std::size_t>& locked_rows() const { return locked_; }
-  /// Rows whose opt_executor is `node`, ascending.
+  /// Live rows whose opt_executor is `node`, ascending.
   std::span<const std::pair<NodeId, std::size_t>> locked_to(NodeId node);
 
  private:
+  /// Count row `i` into (`add`) or out of the aggregates.
+  void account(std::size_t i, bool add);
+
   std::vector<CandidateRow> rows_;
   std::vector<std::size_t> locked_;
   /// locked_ keyed by opt_executor; sorted on first locked_to() after a push.
   std::vector<std::pair<NodeId, std::size_t>> by_lock_node_;
   bool by_lock_node_sorted_ = true;
   std::size_t cached_ = 0;
-  bool multi_pool_ = false;
+  std::size_t tombstones_ = 0;
+  /// Live rows per dense pool index, and how many pools have any.
+  std::vector<std::size_t> pool_rows_;
+  std::size_t pools_ = 0;
 };
 
 /// One segment as a kind-visit reads it. A visit reads one or two: the

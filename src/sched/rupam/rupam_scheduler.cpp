@@ -48,8 +48,25 @@ void RupamScheduler::node_membership_changed(NodeId node, NodeLifecycle state) {
 }
 
 void RupamScheduler::stage_submitted(StageState& stage) {
+  named_stages_.push_back(
+      NamedStage{db_.intern_stage(stage.set.stage_name), &stage, false});
   for (std::size_t i = 0; i < stage.tasks.size(); ++i) {
-    tm_.enqueue(stage.tasks[i].spec, stage.set.stage, i);
+    note_task_key(stage, i);
+    enqueue_task(stage, i);
+  }
+}
+
+void RupamScheduler::stage_removed(StageState& stage) {
+  std::erase_if(named_stages_, [&](const NamedStage& s) { return s.stage == &stage; });
+}
+
+void RupamScheduler::note_task_key(StageState& stage, std::size_t index) {
+  const TaskSpec& spec = stage.tasks[index].spec;
+  if (spec.partition == static_cast<int>(index) && spec.stage_name == stage.set.stage_name) {
+    return;
+  }
+  for (NamedStage& s : named_stages_) {
+    if (s.stage == &stage) s.irregular = true;
   }
 }
 
@@ -58,16 +75,15 @@ void RupamScheduler::task_pending_changed(StageState& stage, std::size_t index, 
   // task's refs park (the GPU queue still races them); a failed or
   // relocated task's refs come back at their original queue positions.
   if (pending) {
-    tm_.note_pending_again(stage.set.stage, index);
+    restore_task(stage, index);
   } else {
-    tm_.note_launched(stage.set.stage, index);
+    park_task(stage, index);
   }
 }
 
 void RupamScheduler::task_succeeded(StageState& stage, TaskState& task,
                                     const TaskMetrics& metrics) {
-  tm_.record_completion(task.spec, metrics);
-  tm_.note_finished(stage.set.stage, static_cast<std::size_t>(&task - stage.tasks.data()));
+  finish_task(stage, static_cast<std::size_t>(&task - stage.tasks.data()), metrics);
   relocating_.erase(task.spec.id);
 }
 
@@ -75,12 +91,156 @@ void RupamScheduler::task_failed(StageState& stage, TaskState& task, const std::
   relocating_.erase(task.spec.id);
   if (task.pending) {
     // Re-characterize with whatever the DB knows now and requeue.
-    tm_.enqueue(task.spec, stage.set.stage, static_cast<std::size_t>(&task - stage.tasks.data()));
+    enqueue_task(stage, static_cast<std::size_t>(&task - stage.tasks.data()));
   }
 }
 
 void RupamScheduler::task_relaunchable(StageState& stage, TaskState& task) {
-  tm_.enqueue(task.spec, stage.set.stage, static_cast<std::size_t>(&task - stage.tasks.data()));
+  std::size_t index = static_cast<std::size_t>(&task - stage.tasks.data());
+  note_task_key(stage, index);  // a graft appends a task
+  enqueue_task(stage, index);
+}
+
+RupamScheduler::CurrentRows RupamScheduler::current_rows() const {
+  CurrentRows current{};
+  for (std::size_t k = 0; k < kNumResourceKinds; ++k) {
+    current[k] = rows_[k].tm_version == tm_.version(static_cast<ResourceKind>(k)) &&
+                 rows_[k].db_version == db_.version();
+  }
+  return current;
+}
+
+void RupamScheduler::stamp_rows(const CurrentRows& current) {
+  for (std::size_t k = 0; k < kNumResourceKinds; ++k) {
+    if (!current[k]) continue;
+    rows_[k].tm_version = tm_.version(static_cast<ResourceKind>(k));
+    rows_[k].db_version = db_.version();
+  }
+}
+
+void RupamScheduler::enqueue_task(StageState& stage, std::size_t index) {
+  CurrentRows current = current_rows();
+  const TaskSpec& spec = stage.tasks[index].spec;
+  std::span<const TaskManager::Slot> added = tm_.enqueue(spec, stage.set.stage, index);
+  if (!added.empty() && row_index_.size() <= added.back().seq) {
+    // Sized here, outside dispatch, so indexing never allocates there.
+    row_index_.resize(added.back().seq + 1);
+  }
+  // Seqs ascend, so the new refs' rows go at the end of their queues.
+  StageNameId name = db_.find_stage(spec.stage_name);
+  for (const TaskManager::Slot& slot : added) {
+    std::size_t k = static_cast<std::size_t>(slot.kind);
+    QueueRows& q = rows_[k];
+    if (current[k] && push_row(q, slot.seq, stage, index, name)) index_rows(q, q.tasks.size() - 1);
+  }
+  stamp_rows(current);
+}
+
+void RupamScheduler::index_rows(const QueueRows& q, std::size_t from) {
+  const std::vector<CandidateRow>& rows = q.candidates.rows();
+  for (std::size_t i = from; i < rows.size(); ++i) {
+    row_index_[rows[i].seq] = static_cast<std::uint32_t>(i);
+  }
+}
+
+std::size_t RupamScheduler::row_of(const QueueRows& q, std::uint64_t seq) const {
+  if (seq >= row_index_.size()) return CandidateSegment::npos;
+  std::size_t row = row_index_[seq];
+  const std::vector<CandidateRow>& rows = q.candidates.rows();
+  return row < rows.size() && rows[row].seq == seq ? row : CandidateSegment::npos;
+}
+
+void RupamScheduler::drop_row(QueueRows& q, std::uint64_t seq) {
+  std::size_t row = row_of(q, seq);
+  if (row != CandidateSegment::npos && !q.candidates.rows()[row].gone) q.candidates.erase(row);
+}
+
+void RupamScheduler::compact_rows(QueueRows& q) {
+  if (2 * q.candidates.tombstones() <= q.candidates.size()) return;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < q.tasks.size(); ++i) {
+    if (!q.candidates.rows()[i].gone) q.tasks[kept++] = q.tasks[i];
+  }
+  q.tasks.resize(kept);
+  q.candidates.compact();
+  q.heads = {};
+  index_rows(q, 0);
+}
+
+void RupamScheduler::park_task(StageState& stage, std::size_t index) {
+  // Parking moves no version: the rows of queues that are current stay
+  // current once the launched task's rows are tombstoned. The GPU queue
+  // keeps its row while racing: a freed device may poach the task.
+  CurrentRows current = current_rows();
+  bool races = config_.gpu_cpu_race;
+  for (const TaskManager::Slot& slot : tm_.note_launched(stage.set.stage, index)) {
+    std::size_t k = static_cast<std::size_t>(slot.kind);
+    if (current[k] && !(races && slot.kind == ResourceKind::kGpu)) drop_row(rows_[k], slot.seq);
+  }
+}
+
+void RupamScheduler::restore_task(StageState& stage, std::size_t index) {
+  CurrentRows current = current_rows();
+  tm_.note_pending_again(stage.set.stage, index);
+  // A restored ref's row comes back at its seq: revived from its
+  // tombstone (re-read, as DB_task_char patches skip tombstones), or kept
+  // by the racing GPU queue. A row compacted away belongs mid-queue, and
+  // that queue is rebuilt at its next use.
+  StageNameId name = db_.find_stage(stage.tasks[index].spec.stage_name);
+  for (const TaskManager::Slot& slot : tm_.slots(stage.set.stage, index)) {
+    std::size_t k = static_cast<std::size_t>(slot.kind);
+    if (!current[k]) continue;
+    CandidateSegment& seg = rows_[k].candidates;
+    std::size_t row = row_of(rows_[k], slot.seq);
+    if (row == CandidateSegment::npos) {
+      current[k] = false;
+    } else if (seg.rows()[row].gone) {
+      seg.replace(row, make_row(slot.seq, stage, stage.tasks[index], name));
+    }
+  }
+  stamp_rows(current);
+}
+
+void RupamScheduler::finish_task(StageState& stage, std::size_t index,
+                                 const TaskMetrics& metrics) {
+  CurrentRows current = current_rows();
+  for (const TaskManager::Slot& slot : tm_.slots(stage.set.stage, index)) {
+    std::size_t k = static_cast<std::size_t>(slot.kind);
+    if (current[k]) drop_row(rows_[k], slot.seq);
+  }
+  tm_.note_finished(stage.set.stage, index);
+  stamp_rows(current);
+
+  // The DB write changes the rows of every waiting task with the finished
+  // task's (stage name, partition) key, and no other. Only stages of that
+  // name can hold one; in a regular stage only task `partition` can.
+  const TaskSpec& spec = stage.tasks[index].spec;
+  tm_.record_completion(spec, metrics);
+  StageNameId name = db_.find_stage(spec.stage_name);
+  auto patch = [&](StageState& owner, std::size_t i) {
+    const TaskState& task = owner.tasks[i];
+    if (task.finished || task.spec.partition != spec.partition ||
+        task.spec.stage_name != spec.stage_name) {
+      return;
+    }
+    for (const TaskManager::Slot& slot : tm_.slots(owner.set.stage, i)) {
+      std::size_t k = static_cast<std::size_t>(slot.kind);
+      if (!current[k]) continue;
+      QueueRows& q = rows_[k];
+      std::size_t row = row_of(q, slot.seq);
+      if (row == CandidateSegment::npos || q.candidates.rows()[row].gone) continue;
+      q.candidates.replace(row, make_row(slot.seq, owner, task, name));
+    }
+  };
+  for (const NamedStage& s : named_stages_) {
+    if (s.irregular) {
+      for (std::size_t i = 0; i < s.stage->tasks.size(); ++i) patch(*s.stage, i);
+    } else if (s.name == name && spec.partition >= 0 &&
+               static_cast<std::size_t>(spec.partition) < s.stage->tasks.size()) {
+      patch(*s.stage, static_cast<std::size_t>(spec.partition));
+    }
+  }
+  stamp_rows(current);
 }
 
 void RupamScheduler::seed_monitor() {
@@ -148,10 +308,43 @@ bool RupamScheduler::race_eligible(const TaskState& task) const {
   return !task.finished && !task.live.empty() && !task.has_gpu_attempt();
 }
 
+CandidateRow RupamScheduler::make_row(std::uint64_t seq, const StageState& stage,
+                                      const TaskState& task, StageNameId name) const {
+  CandidateRow row;
+  row.seq = seq;
+  row.pool = static_cast<std::uint32_t>(pool_of(stage).index());
+  row.peak_memory = task.spec.total_memory();
+  row.cached_input = !task.spec.input_cache_key.empty();
+  // The interned stage name makes the DB lookup two array reads instead
+  // of hashing the stage-name string.
+  if (const TaskCharRecord* rec = db_.lookup(name, task.spec.partition)) {
+    row.opt_executor = rec->opt_executor;
+    row.gpu_record = rec->gpu;
+    row.history_size = static_cast<std::uint8_t>(rec->history_resources.size());
+    row.expected_cost = rec->compute_time + rec->shuffle_read + rec->shuffle_write;
+  }
+  return row;
+}
+
+bool RupamScheduler::push_row(QueueRows& q, std::uint64_t seq, StageState& stage,
+                              std::size_t index, StageNameId name) {
+  if (index >= stage.tasks.size() || stage.tasks[index].finished) return false;
+  q.candidates.push(make_row(seq, stage, stage.tasks[index], name));
+  q.tasks.emplace_back(&stage, index);
+  return true;
+}
+
 RupamScheduler::QueueRows& RupamScheduler::rows_for(ResourceKind kind) {
-  QueueRows& q = rows_[static_cast<std::size_t>(kind)];
-  if (q.tm_version == tm_.version() && q.db_version == db_.version()) return q;
-  q.tm_version = tm_.version();
+  std::size_t k = static_cast<std::size_t>(kind);
+  if (!current_rows()[k]) {
+    build_rows(kind, rows_[k]);
+    index_rows(rows_[k], 0);
+  }
+  return rows_[k];
+}
+
+void RupamScheduler::build_rows(ResourceKind kind, QueueRows& q) {
+  q.tm_version = tm_.version(kind);
   q.db_version = db_.version();
   q.candidates.clear();
   q.tasks.clear();
@@ -160,25 +353,10 @@ RupamScheduler::QueueRows& RupamScheduler::rows_for(ResourceKind kind) {
     auto it = stages_.find(ref.stage);
     if (it == stages_.end()) return;
     StageState& stage = it->second;
-    if (ref.task_index >= stage.tasks.size()) return;
-    TaskState& task = stage.tasks[ref.task_index];
-    if (task.spec.id != ref.task || task.finished) return;
-    note_task_checks(1);
-    CandidateRow row;
-    row.seq = seq;
-    row.pool = static_cast<std::uint32_t>(pool_of(stage).index());
-    row.peak_memory = task.spec.total_memory();
-    row.cached_input = !task.spec.input_cache_key.empty();
-    // The ref carries the interned stage name, so the DB lookup is two
-    // array reads instead of hashing the stage-name string.
-    if (const TaskCharRecord* rec = db_.lookup(ref.name, task.spec.partition)) {
-      row.opt_executor = rec->opt_executor;
-      row.gpu_record = rec->gpu;
-      row.history_size = static_cast<std::uint8_t>(rec->history_resources.size());
-      row.expected_cost = rec->compute_time + rec->shuffle_read + rec->shuffle_write;
+    if (ref.task_index < stage.tasks.size() && stage.tasks[ref.task_index].spec.id != ref.task) {
+      return;
     }
-    q.candidates.push(row);
-    q.tasks.emplace_back(&stage, &task);
+    if (push_row(q, seq, stage, ref.task_index, ref.name)) note_task_checks(1);
   };
   const TaskManager::Queue& active = tm_.active(kind);
   if (kind == ResourceKind::kGpu && config_.gpu_cpu_race) {
@@ -199,7 +377,6 @@ RupamScheduler::QueueRows& RupamScheduler::rows_for(ResourceKind kind) {
   } else {
     for (const auto& [seq, ref] : active) add(seq, ref);
   }
-  return q;
 }
 
 /// Answers select_candidate()'s questions from the scheduler's task state
@@ -221,23 +398,24 @@ class RupamScheduler::RowSource {
   void offer(NodeId node) { node_ = node; }
 
   bool valid(std::size_t use, std::size_t row) {
-    // A launch parks the task's refs, so a parked ref is stale without
-    // reading its task — unless the GPU queue may race it.
-    if (!races_[use] && !sched_.tm_.ref_active(rows_[use]->candidates.rows()[row].seq)) {
-      return false;
-    }
+    // A finished task's row is a tombstone. A launch parks the task's
+    // refs, so a parked ref is stale without reading its task — unless
+    // the GPU queue may race it.
+    const CandidateRow& r = rows_[use]->candidates.rows()[row];
+    if (r.gone || (!races_[use] && !sched_.tm_.ref_active(r.seq))) return false;
     sched_.note_task_checks(1);
-    const TaskState& task = *rows_[use]->tasks[row].second;
-    return sched_.launchable(task) || (races_[use] && sched_.race_eligible(task));
+    const TaskState& t = *task(CandidateRef{use, row}).second;
+    return sched_.launchable(t) || (races_[use] && sched_.race_eligible(t));
   }
   Locality locality(std::size_t use, std::size_t row) const {
-    return sched_.locality_for(rows_[use]->tasks[row].second->spec, node_);
+    return sched_.locality_for(task(CandidateRef{use, row}).second->spec, node_);
   }
   std::span<const std::uint64_t> local(std::size_t use) {
     return sched_.tm_.local_refs(kinds_[use], node_);
   }
   std::pair<StageState*, TaskState*> task(CandidateRef ref) const {
-    return rows_[ref.use]->tasks[ref.row];
+    auto [stage, index] = rows_[ref.use]->tasks[ref.row];
+    return {stage, &stage->tasks[index]};
   }
 
  private:
@@ -314,18 +492,8 @@ bool RupamScheduler::dispatch_possible() const {
   }
   // A parked GPU ref can still yield a race copy when a device frees up.
   if (config_.gpu_cpu_race && !tm_.parked(ResourceKind::kGpu).empty()) return true;
-  if (speculation_.enabled) {
-    // Mirror of straggler_threshold()'s early-out: a stage can yield
-    // speculatables only once `quantile` of its tasks have finished.
-    for (const auto& [id, stage] : stages_) {
-      if (!stage.finished_runtimes.empty() &&
-          static_cast<double>(stage.finished_runtimes.size()) >=
-              speculation_.quantile * static_cast<double>(stage.tasks.size())) {
-        return true;
-      }
-    }
-  }
-  return false;
+  // A stage yields speculatables only once it has a straggler threshold.
+  return may_speculate();
 }
 
 void RupamScheduler::try_dispatch() {
@@ -335,9 +503,14 @@ void RupamScheduler::try_dispatch() {
     seed_monitor();
     rm_.sweep_dead(sim().now());
   }
-  // Rows outlive the round, but a row stale now (launched, in backoff)
-  // may be valid in a later round, and a node refused now may be admitted.
-  for (QueueRows& q : rows_) q.heads = {};
+  // Rows outlive the round, but a row stale now (in backoff) may be valid
+  // in a later round, and a node refused now may be admitted. Tombstones
+  // are compacted away here, between rounds, so row indexes hold within
+  // one.
+  for (QueueRows& q : rows_) {
+    q.heads = {};
+    compact_rows(q);
+  }
   walk_from_.fill(0);
   int misses = 0;
   while (misses < kNumResourceKinds) {

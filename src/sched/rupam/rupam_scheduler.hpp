@@ -13,12 +13,20 @@
 // Dispatch cost scales with launches, not with queued rows or fleet size:
 //  * admission reads the base scheduler's live-attempt counters (O(1) per
 //    node instead of a scan over every attempt);
-//  * each kind's candidate rows are resolved once and reused by every
-//    kind-visit, in this round and later ones, until the TaskManager's
-//    queues or DB_task_char change (their version() stamps). Launches and
-//    the clock only change whether a row may launch, and that is checked
-//    when the row is used; within a round a row that went stale stays
-//    stale, so each visit skips the stale prefix;
+//  * each kind's candidate rows are resolved once and then kept by delta
+//    (row upkeep): an enqueue appends the task's rows; a launch tombstones
+//    them (but the GPU queue's, which races parked tasks) and a finish
+//    the rest; a task waiting again revives its tombstones; a DB_task_char
+//    update patches only the rows of the (stage name, partition) key it
+//    touched. Tombstones are compacted away between rounds once they pass
+//    half the rows. The live rows stay exactly what a rebuild would give;
+//    only a restored ref whose tombstone was compacted away, a TaskManager
+//    queue clear or a DB_task_char change from outside the scheduler
+//    leaves a queue's rows behind its version stamps, and that one queue
+//    is rebuilt at its next use. The clock only changes whether a row may
+//    launch (retry backoff), and that is checked when the row is used;
+//    within a round a row that went stale stays stale, so each visit skips
+//    the stale prefix;
 //  * matching a node against the rows is select_candidate() (pruned
 //    Algorithm 2, dispatcher.hpp): with no lock to the node and no cached
 //    input in play it reads the node's local-ref list and the first
@@ -98,11 +106,39 @@ class RupamScheduler : public SchedulerBase {
   void task_succeeded(StageState& stage, TaskState& task, const TaskMetrics& metrics) override;
   void task_failed(StageState& stage, TaskState& task, const std::string& reason) override;
   void task_relaunchable(StageState& stage, TaskState& task) override;
+  void stage_removed(StageState& stage) override;
 
   /// Can `node` take one more task whose bottleneck is `kind`? Within a
   /// dispatch round, where `metrics` is the round's fixed snapshot, a
   /// refusal holds until the round ends: launches only consume capacity.
   bool node_available(const NodeMetrics& metrics, ResourceKind kind) const;
+
+  /// One kind's candidate rows: the pruning inputs plus, in parallel, the
+  /// task each row resolves to (its stage and index: a graft may move the
+  /// stage's tasks).
+  struct QueueRows {
+    CandidateSegment candidates;
+    std::vector<std::pair<StageState*, std::size_t>> tasks;
+    /// [0]: this round's stale prefix as the kind's own visits see it;
+    /// [1]: as the CPU queue borrowing the GPU rows sees it.
+    std::array<std::size_t, 2> heads{};
+    /// The queue's TaskManager version and the DB_task_char version the
+    /// rows reflect.
+    std::uint64_t tm_version = ~std::uint64_t{0};
+    std::uint64_t db_version = 0;
+  };
+  using CurrentRows = std::array<bool, kNumResourceKinds>;
+  /// The `kind` queue's rows in queue order: its active refs, plus (GPU
+  /// queue under racing) its parked refs, whose running task a freed
+  /// device may poach. Kept by delta, and rebuilt only when they are
+  /// behind the queue's or DB_task_char's version; whether a row may
+  /// launch is checked at use.
+  QueueRows& rows_for(ResourceKind kind);
+  /// Build `kind`'s rows afresh into `q` from the TaskManager queue.
+  void build_rows(ResourceKind kind, QueueRows& q);
+  /// Which queues' rows are current: stamped at the versions they reflect.
+  CurrentRows current_rows() const;
+  const TaskManager& task_manager() const { return tm_; }
 
  private:
   struct Pick {
@@ -110,29 +146,39 @@ class RupamScheduler : public SchedulerBase {
     TaskState* task = nullptr;
     bool gpu_race_copy = false;
   };
-  /// One kind's candidate rows: the pruning inputs plus, in parallel, the
-  /// task each row resolves to.
-  struct QueueRows {
-    CandidateSegment candidates;
-    std::vector<std::pair<StageState*, TaskState*>> tasks;
-    /// [0]: this round's stale prefix as the kind's own visits see it;
-    /// [1]: as the CPU queue borrowing the GPU rows sees it.
-    std::array<std::size_t, 2> heads{};
-    /// TaskManager and DB_task_char versions the rows were built at.
-    std::uint64_t tm_version = ~std::uint64_t{0};
-    std::uint64_t db_version = 0;
-  };
   struct SpecCandidate {
     StageState* stage = nullptr;
     TaskState* task = nullptr;
   };
   class RowSource;
 
-  /// The `kind` queue's rows in queue order: its active refs, plus (GPU
-  /// queue under racing) its parked refs, whose running task a freed
-  /// device may poach. Rebuilt when the TaskManager or DB_task_char
-  /// version moves; whether a row may launch is checked at use.
-  QueueRows& rows_for(ResourceKind kind);
+  /// Row upkeep. Each TaskManager or DB_task_char change the scheduler
+  /// makes goes through one of these, which applies it to the rows of
+  /// every queue that was current before it and re-stamps them; a stale
+  /// queue stays stale.
+  void stamp_rows(const CurrentRows& current);
+  void enqueue_task(StageState& stage, std::size_t index);
+  /// Mark the stage irregular unless task `index` has partition `index`
+  /// and the stage's name (see named_stages_).
+  void note_task_key(StageState& stage, std::size_t index);
+  void park_task(StageState& stage, std::size_t index);
+  void restore_task(StageState& stage, std::size_t index);
+  void finish_task(StageState& stage, std::size_t index, const TaskMetrics& metrics);
+  /// Record the row index of `q`'s rows from `from` on in row_index_.
+  void index_rows(const QueueRows& q, std::size_t from);
+  /// Row of ref `seq` in `q` (live or tombstone), or npos.
+  std::size_t row_of(const QueueRows& q, std::uint64_t seq) const;
+  /// Tombstone ref `seq`'s row in `q`, if it has a live one.
+  void drop_row(QueueRows& q, std::uint64_t seq);
+  /// Drop `q`'s tombstones once they pass half its rows.
+  void compact_rows(QueueRows& q);
+  /// The node-independent Algorithm 2 inputs of ref `seq`'s row.
+  CandidateRow make_row(std::uint64_t seq, const StageState& stage, const TaskState& task,
+                        StageNameId name) const;
+  /// Append ref `seq` of task `index` of `stage` to `q`, unless the task
+  /// is gone or finished.
+  bool push_row(QueueRows& q, std::uint64_t seq, StageState& stage, std::size_t index,
+                StageNameId name);
   /// GPU racing on the CPU side of a task (§III-C3): running on a CPU with
   /// no device copy yet.
   bool race_eligible(const TaskState& task) const;
@@ -161,6 +207,19 @@ class RupamScheduler : public SchedulerBase {
   // Dispatch-path state, reused across rounds: capacity settles at the
   // workload's high-water mark, after which kind-visits never allocate.
   std::array<QueueRows, kNumResourceKinds> rows_;
+  /// Seq → index of its row in its queue's rows_ (checked against the
+  /// row's seq at use), so upkeep finds a ref's row in O(1).
+  std::vector<std::uint32_t> row_index_;
+  /// Active stages by interned name: where a DB_task_char write looks for
+  /// rows to patch. In a regular stage task i has partition i and the
+  /// stage's name, so one index finds a key's task; an irregular one
+  /// (partial resubmission, graft) is scanned.
+  struct NamedStage {
+    StageNameId name;
+    StageState* stage = nullptr;
+    bool irregular = false;
+  };
+  std::vector<NamedStage> named_stages_;
   /// Per kind: queue positions before this were refused this round.
   std::array<std::size_t, kNumResourceKinds> walk_from_{};
   std::vector<SpecCandidate> spec_scratch_;

@@ -57,8 +57,10 @@ std::vector<ResourceKind> TaskManager::classify(const TaskSpec& spec) const {
   return kinds;
 }
 
-void TaskManager::enqueue(const TaskSpec& spec, StageId stage, std::size_t task_index) {
+std::span<const TaskManager::Slot> TaskManager::enqueue(const TaskSpec& spec, StageId stage,
+                                                       std::size_t task_index) {
   std::vector<Slot>& slots = slots_[{stage, task_index}];
+  std::size_t before = slots.size();
   StageNameId name = db_.intern_stage(spec.stage_name);
   for (ResourceKind kind : classify(spec)) {
     std::uint64_t seq = next_seq_++;
@@ -66,6 +68,7 @@ void TaskManager::enqueue(const TaskSpec& spec, StageId stage, std::size_t task_
     active_[k].emplace(seq, PendingRef{stage, task_index, spec.id, name});
     slots.push_back(Slot{kind, seq});
     state_.push_back(RefState::kActive);
+    ++versions_[k];
     for (NodeId node : spec.preferred_nodes) {
       if (node < 0) continue;
       std::vector<LocalRefs>& lists = local_[k];
@@ -77,7 +80,7 @@ void TaskManager::enqueue(const TaskSpec& spec, StageId stage, std::size_t task_
       refs.seqs.push_back(seq);
     }
   }
-  ++version_;
+  return std::span<const Slot>(slots).subspan(before);
 }
 
 void TaskManager::prune(LocalRefs& refs) {
@@ -94,9 +97,17 @@ std::span<const std::uint64_t> TaskManager::local_refs(ResourceKind kind, NodeId
   return refs.seqs;
 }
 
-void TaskManager::note_launched(StageId stage, std::size_t task_index) {
+std::span<const TaskManager::Slot> TaskManager::slots(StageId stage,
+                                                      std::size_t task_index) const {
   auto it = slots_.find({stage, task_index});
-  if (it == slots_.end()) return;
+  if (it == slots_.end()) return {};
+  return it->second;
+}
+
+std::span<const TaskManager::Slot> TaskManager::note_launched(StageId stage,
+                                                             std::size_t task_index) {
+  auto it = slots_.find({stage, task_index});
+  if (it == slots_.end()) return {};
   for (const Slot& slot : it->second) {
     Queue& from = active_[static_cast<std::size_t>(slot.kind)];
     auto node = from.extract(slot.seq);
@@ -104,19 +115,20 @@ void TaskManager::note_launched(StageId stage, std::size_t task_index) {
     parked_[static_cast<std::size_t>(slot.kind)].insert(std::move(node));
     state_[slot.seq] = RefState::kParked;
   }
+  return it->second;
 }
 
 void TaskManager::note_pending_again(StageId stage, std::size_t task_index) {
   auto it = slots_.find({stage, task_index});
   if (it == slots_.end()) return;
   for (const Slot& slot : it->second) {
-    Queue& from = parked_[static_cast<std::size_t>(slot.kind)];
-    auto node = from.extract(slot.seq);
+    std::size_t k = static_cast<std::size_t>(slot.kind);
+    auto node = parked_[k].extract(slot.seq);
     if (node.empty()) continue;
     // Re-inserting under the original seq restores the queue position.
-    active_[static_cast<std::size_t>(slot.kind)].insert(std::move(node));
+    active_[k].insert(std::move(node));
     state_[slot.seq] = RefState::kActive;
-    ++version_;
+    ++versions_[k];
   }
 }
 
@@ -124,13 +136,14 @@ void TaskManager::note_finished(StageId stage, std::size_t task_index) {
   auto it = slots_.find({stage, task_index});
   if (it == slots_.end()) return;
   for (const Slot& slot : it->second) {
-    active_[static_cast<std::size_t>(slot.kind)].erase(slot.seq);
-    parked_[static_cast<std::size_t>(slot.kind)].erase(slot.seq);
+    std::size_t k = static_cast<std::size_t>(slot.kind);
+    active_[k].erase(slot.seq);
+    parked_[k].erase(slot.seq);
     state_[slot.seq] = RefState::kGone;
+    ++versions_[k];
   }
   slots_.erase(it);
   ++finishes_;
-  ++version_;
 }
 
 const TaskManager::Queue& TaskManager::active(ResourceKind kind) const {
@@ -149,7 +162,7 @@ void TaskManager::clear_queues() {
   state_.clear();
   for (auto& lists : local_) lists.clear();
   ++finishes_;
-  ++version_;
+  for (std::uint64_t& v : versions_) ++v;
 }
 
 void TaskManager::record_completion(const TaskSpec& spec, const TaskMetrics& metrics) {

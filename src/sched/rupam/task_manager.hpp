@@ -14,9 +14,11 @@
 // between halves on launch/failure under their original sequence number,
 // so restored refs keep their queue position.
 //
-// version() changes whenever refs join, return to or leave the queues, but
-// not when a launch parks them: the dispatcher keeps its candidate rows
-// until it changes and checks each row's task state at use.
+// Each queue has its own version(kind). It changes whenever refs join,
+// return to or leave that queue, but not when a launch parks them: the
+// dispatcher keeps its candidate rows, applies each change to them as a
+// delta (slots() names the refs a task holds), and checks each row's task
+// state at use.
 //
 // Each queue also keeps, per node, the seqs of its refs whose task prefers
 // that node (NODE_LOCAL candidates), appended at enqueue. Seqs only grow,
@@ -60,6 +62,11 @@ class TaskManager {
   /// restored ones plus the re-characterized ones), matching the paper's
   /// "characterize again on retry" behaviour.
   using Queue = std::map<std::uint64_t, PendingRef>;
+  /// One ref a task holds: its queue and sequence number.
+  struct Slot {
+    ResourceKind kind;
+    std::uint64_t seq;
+  };
 
   TaskManager(TaskCharDb& db, TaskManagerConfig config = {});
 
@@ -73,10 +80,12 @@ class TaskManager {
   std::vector<ResourceKind> classify(const TaskSpec& spec) const;
 
   /// Enqueue into the active half of all queues classify() names.
-  void enqueue(const TaskSpec& spec, StageId stage, std::size_t task_index);
+  /// Returns the refs it added, in seq order (valid as slots() is).
+  std::span<const Slot> enqueue(const TaskSpec& spec, StageId stage, std::size_t task_index);
 
   /// The task at (stage, task_index) started running: park its refs.
-  void note_launched(StageId stage, std::size_t task_index);
+  /// Returns the refs it holds (as slots() does).
+  std::span<const Slot> note_launched(StageId stage, std::size_t task_index);
   /// The task went back to pending (attempt failed / was relocated):
   /// restore its parked refs at their original queue positions.
   void note_pending_again(StageId stage, std::size_t task_index);
@@ -87,9 +96,15 @@ class TaskManager {
   const Queue& parked(ResourceKind kind) const;
   void clear_queues();
 
-  /// Changes on enqueue, note_pending_again, note_finished and
-  /// clear_queues — not on note_launched.
-  std::uint64_t version() const { return version_; }
+  /// Changes when `kind`'s queue gains, regains or loses a ref (enqueue,
+  /// note_pending_again, note_finished, clear_queues), not on
+  /// note_launched.
+  std::uint64_t version(ResourceKind kind) const {
+    return versions_[static_cast<std::size_t>(kind)];
+  }
+  /// The refs the task at (stage, task_index) holds, in enqueue order; an
+  /// enqueue appends. Valid until the next enqueue or note_finished.
+  std::span<const Slot> slots(StageId stage, std::size_t task_index) const;
   /// Ascending seqs of `kind`'s queued refs (active or parked) whose task
   /// lists `node` in preferred_nodes; refs of tasks that finished since the
   /// list was last read are pruned first. The span is valid until the
@@ -108,10 +123,6 @@ class TaskManager {
   const TaskManagerConfig& config() const { return config_; }
 
  private:
-  struct Slot {
-    ResourceKind kind;
-    std::uint64_t seq;
-  };
   enum class RefState : std::uint8_t { kGone, kActive, kParked };
   struct LocalRefs {
     std::vector<std::uint64_t> seqs;
@@ -129,7 +140,7 @@ class TaskManager {
   /// (stage, task_index) → every ref the task holds across queues.
   std::map<std::pair<StageId, std::size_t>, std::vector<Slot>> slots_;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t version_ = 0;
+  std::array<std::uint64_t, kNumResourceKinds> versions_{};
   /// Seq → which half holds the ref, or kGone once its task finished.
   std::vector<RefState> state_;
   /// Per kind, NodeId → local refs.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <tuple>
 
@@ -407,6 +408,7 @@ void SchedulerBase::resubmit(const TaskSet& task_set) {
     return;
   }
   StageState& stage = it->second;
+  note_speculation_changed(stage);
   for (const auto& spec : task_set.tasks) {
     TaskState* found = nullptr;
     for (auto& task : stage.tasks) {
@@ -428,6 +430,7 @@ void SchedulerBase::resubmit(const TaskSet& task_set) {
       trace(TraceEventType::kPartitionResubmitted, task_set.stage, spec.id, 0, kInvalidNode,
             "grafted into partial stage");
       set_task_pending(stage, stage.tasks.size() - 1, true);
+      rearm(stage);
       task_relaunchable(stage, stage.tasks.back());
       continue;
     }
@@ -640,6 +643,7 @@ void SchedulerBase::handle_success(StageId stage_id, std::size_t task_index, Att
   std::erase_if(task.live, [attempt](const Attempt& a) { return a.id == attempt; });
   if (task.finished) return;  // a sibling copy already won
   task.finished = true;
+  note_speculation_changed(stage);
   set_task_pending(stage, task_index, false);
   // First finisher wins: abort the losing copies (Spark kills them).
   for (auto& other : task.live) {
@@ -658,6 +662,7 @@ void SchedulerBase::handle_success(StageId stage_id, std::size_t task_index, Att
   if (gc_seconds_counter_ != nullptr) gc_seconds_counter_->inc(metrics.gc_time);
   completed_.push_back(metrics);
   stage.finished_runtimes.push_back(metrics.run_time());
+  rearm(stage);
   --stage.remaining;
   task_succeeded(stage, task, metrics);
   if (on_partition_success_) {
@@ -666,6 +671,7 @@ void SchedulerBase::handle_success(StageId stage_id, std::size_t task_index, Att
   if (stage.remaining == 0) {
     RUPAM_DEBUG(sim().now(), name(), ": stage ", stage_id, " drained");
     stage_removed(stage);
+    disarm(stage);
     active_tasks_ -= stage.tasks.size();
     stages_.erase(stage_id);
   }
@@ -871,20 +877,66 @@ void SchedulerBase::preemption_tick() {
   }
 }
 
+SpeculationRule SchedulerBase::speculation_rule() const {
+  return SpeculationRule{speculation_.quantile, speculation_.multiplier, 0.1};
+}
+
+void SchedulerBase::rearm(StageState& stage) {
+  bool armed = can_judge(stage.finished_runtimes.size(), stage.tasks.size(), speculation_rule());
+  if (armed == stage.speculation.armed) return;
+  stage.speculation.armed = armed;
+  auto at = std::lower_bound(armed_.begin(), armed_.end(), stage.set.stage,
+                             [](const StageState* a, StageId id) { return a->set.stage < id; });
+  if (armed) {
+    armed_.insert(at, &stage);
+  } else {
+    armed_.erase(at);
+  }
+}
+
+void SchedulerBase::disarm(StageState& stage) {
+  if (stage.speculation.armed) std::erase(armed_, &stage);
+}
+
+SimTime SchedulerBase::threshold_of(StageState& stage) {
+  StageState::Speculation& s = stage.speculation;
+  if (s.finished != stage.finished_runtimes.size() || s.tasks != stage.tasks.size()) {
+    s.finished = stage.finished_runtimes.size();
+    s.tasks = stage.tasks.size();
+    s.threshold =
+        straggler_threshold(stage.finished_runtimes, s.tasks, speculation_rule(), runtime_scratch_);
+  }
+  return s.threshold;
+}
+
 const std::vector<std::pair<StageId, std::size_t>>& SchedulerBase::find_speculatable() {
+  SimTime now = sim().now();
+  if (speculatable_version_ == speculation_version_ && speculatable_at_ == now) {
+    return speculatable_scratch_;
+  }
+  speculatable_version_ = speculation_version_;
+  speculatable_at_ = now;
   speculatable_scratch_.clear();
   if (!speculation_.enabled) return speculatable_scratch_;
-  SpeculationRule rule{speculation_.quantile, speculation_.multiplier, 0.1};
   overdue_scratch_.clear();
-  for (auto& [stage_id, stage] : stages_) {
-    SimTime threshold =
-        straggler_threshold(stage.finished_runtimes, stage.tasks.size(), rule, runtime_scratch_);
-    if (threshold < 0.0) continue;
+  for (StageState* armed : armed_) {
+    StageState& stage = *armed;
+    StageId stage_id = stage.set.stage;
+    StageState::Speculation& s = stage.speculation;
+    SimTime threshold = threshold_of(stage);
+    // fl(now - a) is monotone in a: when the earliest eligible launch is
+    // not overdue, no eligible task is.
+    if (!s.dirty && !is_straggler(now - s.min_launch, threshold)) continue;
+    s.dirty = false;
+    s.min_launch = std::numeric_limits<SimTime>::infinity();
+    dispatch_work_.speculation_checks += stage.tasks.size();
     for (std::size_t i = 0; i < stage.tasks.size(); ++i) {
       TaskState& task = stage.tasks[i];
       if (task.finished || task.live.size() != 1) continue;
       if (speculated_.count(task.spec.id) > 0) continue;
-      SimTime elapsed = sim().now() - task.live.front().exec->launch_time();
+      SimTime launched = task.live.front().exec->launch_time();
+      s.min_launch = std::min(s.min_launch, launched);
+      SimTime elapsed = now - launched;
       if (is_straggler(elapsed, threshold)) {
         overdue_scratch_.push_back({elapsed / threshold, {stage_id, i}});
       }
@@ -901,6 +953,23 @@ const std::vector<std::pair<StageId, std::size_t>>& SchedulerBase::find_speculat
 void SchedulerBase::note_speculative_launch(TaskId task) {
   speculated_.insert(task);
   ++straggler_copies_;
+  ++speculation_version_;
+}
+
+void SchedulerBase::configure_speculation(SpeculationConfig cfg) {
+  speculation_ = cfg;
+  // Thresholds depend on the rule: recompute and rescan every stage.
+  armed_.clear();
+  for (auto& [id, stage] : stages_) {
+    stage.speculation = StageState::Speculation{};
+    rearm(stage);
+  }
+  ++speculation_version_;
+}
+
+void SchedulerBase::note_speculation_changed(StageState& stage) {
+  stage.speculation.dirty = true;
+  ++speculation_version_;
 }
 
 void SchedulerBase::set_task_pending(StageState& stage, std::size_t index, bool pending) {
@@ -942,20 +1011,20 @@ int SchedulerBase::live_attempts(NodeId node, ResourceKind kind) const {
   return live_attempts_[static_cast<std::size_t>(node)][static_cast<std::size_t>(kind)];
 }
 
-void SchedulerBase::note_attempt_started(NodeId node, ResourceKind kind,
-                                         const StageState& stage) {
+void SchedulerBase::note_attempt_started(NodeId node, ResourceKind kind, StageState& stage) {
   if (node >= 0 && static_cast<std::size_t>(node) < live_attempts_.size()) {
     ++live_attempts_[static_cast<std::size_t>(node)][static_cast<std::size_t>(kind)];
   }
   ++pool_running_[stage.pool.index()];
+  note_speculation_changed(stage);
 }
 
-void SchedulerBase::note_attempt_ended(NodeId node, ResourceKind kind,
-                                       const StageState& stage) {
+void SchedulerBase::note_attempt_ended(NodeId node, ResourceKind kind, StageState& stage) {
   if (node >= 0 && static_cast<std::size_t>(node) < live_attempts_.size()) {
     --live_attempts_[static_cast<std::size_t>(node)][static_cast<std::size_t>(kind)];
   }
   --pool_running_[stage.pool.index()];
+  note_speculation_changed(stage);
 }
 
 const std::set<NodeId>* SchedulerBase::nodes_caching(const std::string& key) const {

@@ -27,6 +27,7 @@
 #include "obs/metrics_registry.hpp"
 #include "obs/overhead.hpp"
 #include "sched/pool.hpp"
+#include "sched/speculation.hpp"
 #include "simcore/simulator.hpp"
 #include "tasks/locality.hpp"
 #include "tasks/task_set.hpp"
@@ -116,7 +117,7 @@ class SchedulerBase {
   void set_partition_success_handler(PartitionSuccessFn fn) {
     on_partition_success_ = std::move(fn);
   }
-  void configure_speculation(SpeculationConfig cfg) { speculation_ = cfg; }
+  void configure_speculation(SpeculationConfig cfg);
   void configure_fault_tolerance(const FaultToleranceConfig& cfg);
   void configure_preemption(const PreemptionConfig& cfg) { preemption_ = cfg; }
   const PreemptionConfig& preemption() const { return preemption_; }
@@ -203,10 +204,13 @@ class SchedulerBase {
   /// `task_checks` count actual work done inside try_dispatch rounds;
   /// `full_scan_equivalent` accumulates what the pre-index O(nodes × tasks)
   /// sweep would have cost per round, so the ratio is the speedup.
+  /// `speculation_checks` counts the tasks the straggler scan
+  /// (find_speculatable) examined, in or out of a dispatch round.
   struct DispatchWorkCounters {
     std::size_t rounds = 0;
     std::size_t node_visits = 0;
     std::size_t task_checks = 0;
+    std::size_t speculation_checks = 0;
     std::size_t full_scan_equivalent = 0;
   };
   const DispatchWorkCounters& dispatch_work() const { return dispatch_work_; }
@@ -249,6 +253,23 @@ class SchedulerBase {
     // Spark delay-scheduling state.
     int allowed_locality = 0;
     SimTime last_launch = 0.0;
+    /// Straggler-scan state (see find_speculatable).
+    struct Speculation {
+      /// In armed_: enough of the stage has finished to judge (can_judge).
+      bool armed = false;
+      /// straggler_threshold() at (finished_runtimes.size(), tasks.size())
+      /// == (finished, tasks); recomputed by the scan when a finish or a
+      /// graft has moved either count.
+      std::size_t finished = 0;
+      std::size_t tasks = 0;
+      SimTime threshold = -1.0;
+      /// Earliest launch among the tasks that may get a copy (unfinished,
+      /// exactly one live attempt, never copied), as of the last rescan.
+      SimTime min_launch = 0.0;
+      /// An attempt started or ended, a task finished or a resubmit
+      /// touched the stage since that rescan.
+      bool dirty = true;
+    } speculation;
   };
 
   /// Subclass hook: launch whatever fits right now.
@@ -416,11 +437,28 @@ class SchedulerBase {
   /// Coalesced dispatch request.
   void request_dispatch();
 
-  /// Tasks eligible for a speculative copy right now: (stage, task index).
-  /// Reference into member scratch, valid until the next call.
+  /// Tasks eligible for a speculative copy right now: (stage, task index),
+  /// most overdue first. Reference into member scratch, valid until the
+  /// next call.
+  ///
+  /// Cost follows state changes, not calls. The previous result is
+  /// returned while the clock and the speculation version are unchanged;
+  /// that version moves on every attempt start and end, speculative
+  /// launch, finish and resubmit. Only stages with enough finished tasks
+  /// to judge are visited (armed_, kept at finishes and grafts), and a
+  /// stage's threshold is recomputed only when a finish or a graft has
+  /// moved its finished or task count since. A visited stage is
+  /// rescanned only when an attempt of it started or ended since its last
+  /// rescan, or when its earliest eligible launch is overdue now;
+  /// otherwise none of its tasks can be. Candidates reach the sort in
+  /// stage-map order, ascending task index, exactly as a full scan would
+  /// feed them.
   const std::vector<std::pair<StageId, std::size_t>>& find_speculatable();
   /// Records that a speculative copy was launched (stats + dedup).
   void note_speculative_launch(TaskId task);
+  /// True when speculation is on and some active stage has a straggler
+  /// threshold, i.e. find_speculatable may return something.
+  bool may_speculate() const { return speculation_.enabled && !armed_.empty(); }
 
   /// One failed attempt attributed to `node`; blacklists it once the
   /// failure count inside the window crosses the threshold. Protected so
@@ -458,8 +496,17 @@ class SchedulerBase {
   /// task_pending_changed when set membership actually changed.
   void set_task_pending(StageState& stage, std::size_t index, bool pending);
   void on_cache_change(NodeId node, const std::string& key, bool present);
-  void note_attempt_started(NodeId node, ResourceKind kind, const StageState& stage);
-  void note_attempt_ended(NodeId node, ResourceKind kind, const StageState& stage);
+  void note_attempt_started(NodeId node, ResourceKind kind, StageState& stage);
+  void note_attempt_ended(NodeId node, ResourceKind kind, StageState& stage);
+  /// Something find_speculatable reads of `stage` changed: rescan it, and
+  /// drop the cached result.
+  void note_speculation_changed(StageState& stage);
+  SpeculationRule speculation_rule() const;
+  /// Keep armed_ in step with the stage's finished and task counts.
+  void rearm(StageState& stage);
+  void disarm(StageState& stage);
+  /// The stage's threshold, recomputed if its counts moved since.
+  SimTime threshold_of(StageState& stage);
 
   void trace(TraceEventType type, StageId stage, TaskId task, AttemptId attempt, NodeId node,
              std::string detail, SimTime duration = 0.0);
@@ -521,6 +568,15 @@ class SchedulerBase {
   std::vector<std::pair<StageId, std::size_t>> speculatable_scratch_;
   std::vector<std::pair<double, std::pair<StageId, std::size_t>>> overdue_scratch_;
   std::vector<double> runtime_scratch_;
+  /// Active stages with enough finished tasks to judge stragglers,
+  /// ascending stage id (stage-map order).
+  std::vector<StageState*> armed_;
+  /// Bumped by note_speculation_changed and note_speculative_launch;
+  /// speculatable_scratch_ is current for (speculatable_at_,
+  /// speculatable_version_) while both match.
+  std::uint64_t speculation_version_ = 0;
+  std::uint64_t speculatable_version_ = ~std::uint64_t{0};
+  SimTime speculatable_at_ = 0.0;
   // Preemption-scan scratch (same shape: dense by PoolId).
   std::vector<PoolId> active_pools_scratch_;
   std::vector<double> pool_target_scratch_;

@@ -542,6 +542,22 @@ TEST(Comparator, SkipsIdentityKeysAndReportsAsymmetry) {
   EXPECT_EQ(rep.only_in_test[0], "new_s");
 }
 
+TEST(Comparator, DriftKeysAreListedButNeverRegress) {
+  // A raw host timing twice as slow is drift; its normalised twin is not.
+  std::string base = R"({"RUPAM_dispatch_mean_ns": 100.0, "RUPAM_dispatch_mean_raw_ns": 100.0})";
+  std::string test = R"({"RUPAM_dispatch_mean_ns": 200.0, "RUPAM_dispatch_mean_raw_ns": 200.0})";
+  ComparisonReport rep = compare_json_text(base, test);
+  ASSERT_EQ(rep.deltas.size(), 2u);
+  EXPECT_EQ(rep.regressed, 1u);
+  for (const MetricDelta& d : rep.deltas) {
+    EXPECT_EQ(d.verdict, metric_is_drift(d.key) ? Verdict::kWithinNoise : Verdict::kRegressed)
+        << d.key;
+    EXPECT_DOUBLE_EQ(d.delta_pct, 100.0);
+  }
+  EXPECT_TRUE(metric_is_drift("calibration_step_raw_ns"));
+  EXPECT_FALSE(metric_is_drift("RUPAM_dispatch_mean_ns"));
+}
+
 TEST(Comparator, SweepCellsCompareAnalyzerStragglerCounts) {
   std::string base = R"({"cells": [{"scheduler": "rupam", "fleet_size": 12,
     "arrival_rate": 0.05, "fault_plan": "", "elastic": "",

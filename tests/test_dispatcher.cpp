@@ -4,7 +4,9 @@
 #include <algorithm>
 #include <array>
 #include <numeric>
+#include <optional>
 #include <set>
+#include <string>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
@@ -149,7 +151,7 @@ struct Visit {
 
   bool valid(std::size_t use, std::size_t row) {
     ++checks;
-    return is_valid[use][row];
+    return !segments[use].rows()[row].gone && is_valid[use][row];
   }
   Locality locality(std::size_t use, std::size_t row) const {
     if (cached_on[use][row].count(node) > 0) return Locality::kProcessLocal;
@@ -205,47 +207,73 @@ std::optional<std::size_t> select_all_rows(Visit& v, const NodeOffer& offer,
   return std::nullopt;
 }
 
-Visit random_visit(Rng& rng) {
+/// Draws of one random_visit: every row it appends (at build or, for the
+/// row-upkeep test, later) follows the same mix.
+struct RowMix {
+  bool multi_pool = false;
+  double p_lock = 0.0;
+  double p_cached = 0.0;
+  double p_valid = 1.0;
+  std::uint64_t next_seq = 0;
+
+  explicit RowMix(Rng& rng)
+      : multi_pool(rng.uniform() < 0.3),
+        p_lock(std::array{0.0, 0.1, 0.5}[rng.uniform_index(3)]),
+        p_cached(rng.uniform() < 0.5 ? 0.0 : 0.2),
+        p_valid(std::array{0.3, 0.8, 1.0}[rng.uniform_index(3)]),
+        next_seq(rng.uniform_index(3)) {}
+
+  /// The DB_task_char-derived fields of a row.
+  void draw_record(Rng& rng, CandidateRow& row) const {
+    row.opt_executor = kInvalidNode;
+    if (rng.uniform() < p_lock) {
+      row.opt_executor = static_cast<NodeId>(rng.uniform_index(Visit::kNodes));
+    }
+    row.gpu_record = rng.uniform() < 0.3;
+    row.history_size = static_cast<std::uint8_t>(rng.uniform_index(kNumResourceKinds + 1));
+    row.expected_cost = 10.0 * static_cast<double>(rng.uniform_index(4));  // ties
+  }
+
+  /// Append one row to use `u` of `v`, with its preferred and caching
+  /// nodes; sometimes a non-row seq first, which still sits in local lists.
+  void append(Rng& rng, Visit& v, std::size_t u) {
+    if (rng.uniform() < 0.2) {
+      v.local_seqs[u][rng.uniform_index(Visit::kNodes)].push_back(next_seq++);
+    }
+    CandidateRow row;
+    row.seq = next_seq++;
+    row.pool = multi_pool ? static_cast<std::uint32_t>(rng.uniform_index(3)) : 0;
+    row.peak_memory = rng.uniform(0.0, 6.0 * kGiB);
+    row.cached_input = rng.uniform() < p_cached;
+    draw_record(rng, row);
+    v.segments[u].push(row);
+    std::set<NodeId> prefers, cached;
+    for (NodeId node = 0; node < Visit::kNodes; ++node) {
+      if (rng.uniform() < 0.3) {
+        prefers.insert(node);
+        v.local_seqs[u][static_cast<std::size_t>(node)].push_back(row.seq);
+      }
+      if (row.cached_input && rng.uniform() < 0.3) cached.insert(node);
+    }
+    v.preferred[u].push_back(prefers);
+    v.cached_on[u].push_back(cached);
+    v.is_valid[u].push_back(rng.uniform() < p_valid);
+  }
+};
+
+Visit random_visit(Rng& rng, RowMix& mix) {
   Visit v;
   v.count = rng.uniform() < 0.4 ? 2 : 1;  // CPU queue taking GPU refs
-  bool multi_pool = rng.uniform() < 0.3;
-  const double p_lock = std::array{0.0, 0.1, 0.5}[rng.uniform_index(3)];
-  const double p_cached = rng.uniform() < 0.5 ? 0.0 : 0.2;
-  const double p_valid = std::array{0.3, 0.8, 1.0}[rng.uniform_index(3)];
-  std::uint64_t seq = rng.uniform_index(3);
   for (std::size_t u = 0; u < v.count; ++u) {
     std::size_t n = rng.uniform_index(25);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (rng.uniform() < 0.2) {
-        // A ref that is not a row this round still sits in local lists.
-        v.local_seqs[u][rng.uniform_index(Visit::kNodes)].push_back(seq++);
-      }
-      CandidateRow row;
-      row.seq = seq++;
-      row.pool = multi_pool ? static_cast<std::uint32_t>(rng.uniform_index(3)) : 0;
-      row.peak_memory = rng.uniform(0.0, 6.0 * kGiB);
-      if (rng.uniform() < p_lock) {
-        row.opt_executor = static_cast<NodeId>(rng.uniform_index(Visit::kNodes));
-      }
-      row.gpu_record = rng.uniform() < 0.3;
-      row.cached_input = rng.uniform() < p_cached;
-      row.history_size = static_cast<std::uint8_t>(rng.uniform_index(kNumResourceKinds + 1));
-      row.expected_cost = 10.0 * static_cast<double>(rng.uniform_index(4));  // ties
-      v.segments[u].push(row);
-      std::set<NodeId> prefers, cached;
-      for (NodeId node = 0; node < Visit::kNodes; ++node) {
-        if (rng.uniform() < 0.3) {
-          prefers.insert(node);
-          v.local_seqs[u][static_cast<std::size_t>(node)].push_back(row.seq);
-        }
-        if (row.cached_input && rng.uniform() < 0.3) cached.insert(node);
-      }
-      v.preferred[u].push_back(prefers);
-      v.cached_on[u].push_back(cached);
-      v.is_valid[u].push_back(rng.uniform() < p_valid);
-    }
+    for (std::size_t i = 0; i < n; ++i) mix.append(rng, v, u);
   }
   return v;
+}
+
+Visit random_visit(Rng& rng) {
+  RowMix mix(rng);
+  return random_visit(rng, mix);
 }
 
 TEST(PrunedAlgorithm2, MatchesAlgorithm2OverEveryValidRow) {
@@ -333,6 +361,166 @@ TEST(PrunedAlgorithm2, EarlyStopReadsOnlyWhatCanWin) {
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(pick->row, 1u);
   EXPECT_EQ(v.checks, 2u);
+}
+
+// ------------------------------------------------------ row upkeep
+
+/// What a fresh rebuild holds: `v` with only its live rows, pushed in
+/// order into new segments, each row keeping its task's state.
+Visit rebuilt(const Visit& v) {
+  Visit fresh;
+  fresh.count = v.count;
+  fresh.local_seqs = v.local_seqs;
+  for (std::size_t u = 0; u < v.count; ++u) {
+    const auto& rows = v.segments[u].rows();
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      if (rows[i].gone) continue;
+      fresh.segments[u].push(rows[i]);
+      fresh.is_valid[u].push_back(v.is_valid[u][i]);
+      fresh.preferred[u].push_back(v.preferred[u][i]);
+      fresh.cached_on[u].push_back(v.cached_on[u][i]);
+    }
+  }
+  return fresh;
+}
+
+/// Seqs of the rows at `rows` of `seg`.
+template <class Rows, class RowOf>
+std::vector<std::uint64_t> seqs_of(const CandidateSegment& seg, const Rows& rows, RowOf row_of) {
+  std::vector<std::uint64_t> out;
+  for (const auto& r : rows) out.push_back(seg.rows()[row_of(r)].seq);
+  return out;
+}
+
+/// Every aggregate select_candidate() prunes by, and the valid rows, agree
+/// between a segment kept by delta and one rebuilt from its live rows.
+void expect_same_segment(CandidateSegment& kept, CandidateSegment& fresh, const Visit& v,
+                         const Visit& f, std::size_t u, const std::string& where) {
+  ASSERT_EQ(kept.live(), fresh.size()) << where;
+  EXPECT_EQ(kept.has_cached_input(), fresh.has_cached_input()) << where;
+  EXPECT_EQ(kept.multi_pool(), fresh.multi_pool()) << where;
+  if (!fresh.multi_pool() && fresh.size() > 0) {
+    EXPECT_EQ(kept.first_pool(), fresh.first_pool()) << where;
+  }
+  auto index = [](std::size_t i) { return i; };
+  auto second = [](const std::pair<NodeId, std::size_t>& p) { return p.second; };
+  EXPECT_EQ(seqs_of(kept, kept.locked_rows(), index),
+            seqs_of(fresh, fresh.locked_rows(), index))
+      << where;
+  for (NodeId node = 0; node < Visit::kNodes; ++node) {
+    EXPECT_EQ(seqs_of(kept, kept.locked_to(node), second),
+              seqs_of(fresh, fresh.locked_to(node), second))
+        << where << " node " << node;
+  }
+  // The valid rows, field by field.
+  std::vector<std::size_t> kept_valid, fresh_valid;
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    if (!kept.rows()[i].gone && v.is_valid[u][i]) kept_valid.push_back(i);
+  }
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    if (f.is_valid[u][i]) fresh_valid.push_back(i);
+  }
+  ASSERT_EQ(kept_valid.size(), fresh_valid.size()) << where;
+  for (std::size_t j = 0; j < kept_valid.size(); ++j) {
+    const CandidateRow& a = kept.rows()[kept_valid[j]];
+    const CandidateRow& b = fresh.rows()[fresh_valid[j]];
+    EXPECT_EQ(a.seq, b.seq) << where;
+    EXPECT_EQ(a.pool, b.pool) << where;
+    EXPECT_EQ(a.peak_memory, b.peak_memory) << where;
+    EXPECT_EQ(a.opt_executor, b.opt_executor) << where;
+    EXPECT_EQ(a.gpu_record, b.gpu_record) << where;
+    EXPECT_EQ(a.history_size, b.history_size) << where;
+    EXPECT_EQ(a.expected_cost, b.expected_cost) << where;
+    EXPECT_EQ(a.cached_input, b.cached_input) << where;
+  }
+}
+
+TEST(RupamRows, DeltaUpkeepMatchesRebuild) {
+  // Random segments from the pruned-rule generator, then the changes the
+  // scheduler applies as deltas: enqueue appends, finish tombstones (and
+  // compacts past half), a DB_task_char update patches a row's record
+  // fields, launch and pending-again flip validity in place.
+  Rng rng(4242);
+  std::size_t ops = 0, compactions = 0, picks = 0;
+  for (int trial = 0; trial < 150; ++trial) {
+    RowMix mix(rng);
+    Visit v = random_visit(rng, mix);
+    for (int step = 0; step < 40; ++step) {
+      std::size_t u = rng.uniform_index(v.count);
+      CandidateSegment& seg = v.segments[u];
+      std::vector<std::size_t> live;
+      for (std::size_t i = 0; i < seg.size(); ++i) {
+        if (!seg.rows()[i].gone) live.push_back(i);
+      }
+      double r = rng.uniform();
+      if (live.empty() || r < 0.25) {
+        mix.append(rng, v, u);
+      } else {
+        std::size_t i = live[rng.uniform_index(live.size())];
+        if (r < 0.5) {
+          seg.erase(i);
+          if (2 * seg.tombstones() > seg.size()) {
+            // The scheduler compacts its parallel task list alongside.
+            std::size_t kept = 0;
+            for (std::size_t j = 0; j < seg.size(); ++j) {
+              if (seg.rows()[j].gone) continue;
+              v.is_valid[u][kept] = v.is_valid[u][j];
+              v.preferred[u][kept] = v.preferred[u][j];
+              v.cached_on[u][kept] = v.cached_on[u][j];
+              ++kept;
+            }
+            v.is_valid[u].resize(kept);
+            v.preferred[u].resize(kept);
+            v.cached_on[u].resize(kept);
+            seg.compact();
+            EXPECT_EQ(seg.tombstones(), 0u);
+            ++compactions;
+          }
+        } else if (r < 0.75) {
+          CandidateRow row = seg.rows()[i];
+          mix.draw_record(rng, row);
+          seg.replace(i, row);
+        } else {
+          v.is_valid[u][i] = !v.is_valid[u][i];
+        }
+      }
+      ++ops;
+      Visit f = rebuilt(v);
+      std::string where = "trial " + std::to_string(trial) + " step " + std::to_string(step);
+      for (std::size_t w = 0; w < v.count; ++w) {
+        expect_same_segment(v.segments[w], f.segments[w], v, f, w, where);
+      }
+      if (::testing::Test::HasFailure()) return;
+      // And the pruned rule picks the same task from either.
+      std::vector<SegmentUse> kept_uses = v.uses(), fresh_uses = f.uses();
+      v.heads = {};
+      f.heads = {};
+      any_valid_candidate(std::span<const SegmentUse>(kept_uses), v);
+      any_valid_candidate(std::span<const SegmentUse>(fresh_uses), f);
+      std::vector<std::uint32_t> pool_order;
+      if (spans_pools(fresh_uses)) pool_order = {2, 0, 1};
+      ASSERT_EQ(spans_pools(kept_uses), spans_pools(fresh_uses)) << where;
+      std::vector<DispatchTaskView> scratch;
+      VisitRows kept_visit, fresh_visit;
+      for (NodeId node = 0; node < Visit::kNodes; ++node) {
+        NodeOffer offer{node, rng.uniform(0.0, 8.0 * kGiB), rng.uniform() < 0.5};
+        v.node = f.node = node;
+        auto seq_of = [](const Visit& x, std::optional<CandidateRef> ref) {
+          return ref ? std::optional<std::uint64_t>(x.segments[ref->use].rows()[ref->row].seq)
+                     : std::nullopt;
+        };
+        auto a = select_candidate(std::span<const SegmentUse>(kept_uses), offer,
+                                  DispatcherPolicy{}, pool_order, v, kept_visit, scratch);
+        auto b = select_candidate(std::span<const SegmentUse>(fresh_uses), offer,
+                                  DispatcherPolicy{}, pool_order, f, fresh_visit, scratch);
+        ASSERT_EQ(seq_of(v, a), seq_of(f, b)) << where << " node " << node;
+        if (b) ++picks;
+      }
+    }
+  }
+  EXPECT_EQ(ops, 150u * 40u);
+  EXPECT_GT(compactions, 100u);
+  EXPECT_GT(picks, ops);
 }
 
 TEST(RoundRobin, CyclesAllKinds) {

@@ -4,6 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "app/simulation.hpp"
 #include "cluster/presets.hpp"
@@ -334,6 +339,186 @@ TEST(RupamScheduler, AdmissionIsMonotoneWithinARound) {
     // Launches did consume capacity: more (node, kind) pairs refuse now.
     EXPECT_GT(refused.size(), refused_at_start) << "overcommit=" << overcommit;
   }
+}
+
+// RUPAM with every dispatch round first checking the candidate rows it
+// kept by delta against rows built afresh from the TaskManager queues:
+// the same live rows, in order, with the same aggregates.
+class RowsProbe : public RupamScheduler {
+ public:
+  using RupamScheduler::RupamScheduler;
+  using SchedulerBase::preempt_task;
+  using SchedulerBase::relocate_task;
+  using SchedulerBase::StageState;
+  using SchedulerBase::TaskState;
+  std::map<StageId, StageState>& stages() { return stages_; }
+
+  std::size_t checks = 0;
+  /// Checks that found the rows current, kept by delta alone.
+  std::size_t kept_current = 0;
+
+ protected:
+  void try_dispatch() override {
+    check_rows();
+    RupamScheduler::try_dispatch();
+  }
+
+ private:
+  using Row = std::tuple<std::uint64_t, std::uint32_t, Bytes, NodeId, bool, std::uint8_t, double,
+                         bool, const StageState*, std::size_t>;
+  static Row row_of(const QueueRows& q, std::size_t i) {
+    const CandidateRow& r = q.candidates.rows()[i];
+    return {r.seq,          r.pool,         r.peak_memory,    r.opt_executor,   r.gpu_record,
+            r.history_size, r.expected_cost, r.cached_input, q.tasks[i].first, q.tasks[i].second};
+  }
+  void check_rows() {
+    CurrentRows current = current_rows();
+    for (std::size_t k = 0; k < kNumResourceKinds; ++k) {
+      auto kind = static_cast<ResourceKind>(k);
+      QueueRows& kept = rows_for(kind);
+      QueueRows fresh;
+      build_rows(kind, fresh);
+      std::vector<Row> want, got;
+      std::vector<std::uint64_t> want_locked, got_locked;
+      for (std::size_t i = 0; i < fresh.candidates.size(); ++i) want.push_back(row_of(fresh, i));
+      for (std::size_t i = 0; i < kept.candidates.size(); ++i) {
+        if (!kept.candidates.rows()[i].gone) got.push_back(row_of(kept, i));
+      }
+      for (std::size_t i : fresh.candidates.locked_rows()) {
+        want_locked.push_back(fresh.candidates.rows()[i].seq);
+      }
+      for (std::size_t i : kept.candidates.locked_rows()) {
+        got_locked.push_back(kept.candidates.rows()[i].seq);
+      }
+      ASSERT_EQ(got, want) << "queue " << k << " at t=" << sim().now();
+      ASSERT_EQ(got_locked, want_locked) << "queue " << k;
+      ASSERT_EQ(kept.candidates.has_cached_input(), fresh.candidates.has_cached_input());
+      ASSERT_EQ(kept.candidates.multi_pool(), fresh.candidates.multi_pool());
+      ++checks;
+      if (current[k]) ++kept_current;
+    }
+  }
+};
+
+TEST(RupamRows, KeptRowsMatchRebuildThroughARun) {
+  Simulator sim;
+  Cluster cluster(sim);
+  build_hydra(cluster);  // stack nodes carry GPUs: the GPU queue races
+  std::vector<std::unique_ptr<Executor>> executors;
+  SchedulerEnv env;
+  env.sim = &sim;
+  env.cluster = &cluster;
+  Rng rng(11);
+  for (NodeId id : cluster.node_ids()) {
+    executors.push_back(
+        std::make_unique<Executor>(sim, cluster.node(id), id, ExecutorConfig{}, rng.split()));
+    env.executors.push_back(executors.back().get());
+  }
+  PoolConfig pools;
+  pools.policy = PoolPolicy::kFair;
+  RowsProbe sched(env);
+  sched.configure_pools(pools);
+  TaskId next_task = 0;
+  StageId next_stage = 0;
+  // Few stage names, so concurrent stages share DB_task_char keys and a
+  // finish patches other stages' rows.
+  auto make_task = [&](StageId stage, const std::string& name, int partition) {
+    TaskSpec t;
+    t.id = next_task++;
+    t.stage = stage;
+    t.stage_name = name;
+    t.partition = partition;
+    t.compute = rng.uniform(2.0, 60.0);
+    t.peak_memory = rng.uniform(64.0, 1536.0) * kMiB;
+    t.gpu_accelerable = rng.uniform() < 0.15;
+    t.shuffle_read_bytes = rng.uniform() < 0.4 ? rng.uniform(10.0, 200.0) * kMiB : 0.0;
+    t.shuffle_remote_fraction = 0.5;
+    if (rng.uniform() < 0.2) t.input_cache_key = name + "#" + std::to_string(partition);
+    if (rng.uniform() < 0.5) {
+      t.preferred_nodes = {static_cast<NodeId>(rng.uniform_index(cluster.size()))};
+    }
+    return t;
+  };
+  auto submit = [&] {
+    TaskSet set;
+    set.stage = next_stage++;
+    set.job = set.stage;
+    set.stage_name = "s" + std::to_string(rng.uniform_index(3));
+    set.pool = rng.uniform() < 0.5 ? "a" : "b";
+    set.is_shuffle_map = rng.uniform() < 0.7;
+    std::size_t n = 4 + rng.uniform_index(30);
+    for (std::size_t i = 0; i < n; ++i) {
+      TaskSpec t = make_task(set.stage, set.stage_name, static_cast<int>(i));
+      t.is_shuffle_map = set.is_shuffle_map;
+      set.tasks.push_back(t);
+    }
+    sched.submit(set);
+  };
+  using TaskState = RowsProbe::TaskState;
+  auto pick = [&](auto want) -> std::pair<RowsProbe::StageState*, TaskState*> {
+    std::vector<std::pair<RowsProbe::StageState*, TaskState*>> all;
+    for (auto& [id, stage] : sched.stages()) {
+      for (auto& t : stage.tasks) {
+        if (want(t)) all.emplace_back(&stage, &t);
+      }
+    }
+    if (all.empty()) return {nullptr, nullptr};
+    return all[rng.uniform_index(all.size())];
+  };
+  for (int step = 0; step < 2000; ++step) {
+    double r = rng.uniform();
+    if (sched.stages().size() < 4 && r < 0.08) {
+      submit();
+    } else if (r < 0.14) {
+      auto [stage, task] = pick([](const TaskState& t) { return !t.live.empty(); });
+      if (task != nullptr) {
+        auto exec = task->live.front().exec;
+        exec->kill("injected", /*notify=*/true);
+      }
+    } else if (r < 0.17) {
+      auto [stage, task] = pick([](const TaskState& t) { return !t.live.empty(); });
+      if (task != nullptr) sched.relocate_task(*stage, *task, "test relocation");
+    } else if (r < 0.2) {
+      auto [stage, task] = pick([](const TaskState& t) { return !t.live.empty(); });
+      if (task != nullptr) sched.preempt_task(*stage, *task);
+    } else if (r < 0.23) {
+      // Resubmit a lost partition, or graft one the active stage lacks —
+      // at times under a partition it already has, which makes the stage
+      // irregular for the DB_task_char patch.
+      auto [stage, task] = pick([](const TaskState& t) { return t.finished; });
+      if (stage != nullptr) {
+        TaskSet set;
+        set.stage = stage->set.stage;
+        set.job = stage->set.job;
+        set.stage_name = stage->set.stage_name;
+        set.pool = stage->set.pool;
+        int partition = static_cast<int>(rng.uniform() < 0.5 ? stage->tasks.size()
+                                                             : rng.uniform_index(stage->tasks.size()));
+        set.tasks.push_back(rng.uniform() < 0.5
+                                ? task->spec
+                                : make_task(set.stage, set.stage_name, partition));
+        sched.resubmit(set);
+      }
+    } else if (r < 0.235) {
+      // A DB_task_char write from outside the scheduler: rows rebuild.
+      TaskMetrics m;
+      m.compute_time = 5.0;
+      m.node = 0;
+      sched.db().update("s0", static_cast<int>(rng.uniform_index(8)), m, ResourceKind::kCpu);
+    } else {
+      SimTime until = sim.now() + rng.uniform(0.1, 4.0);
+      sim.schedule_at(until, [] {});
+      while (sim.now() < until && sim.step()) {
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(sched.completed().size(), 150u);
+  EXPECT_GT(sched.checks, 2000u);
+  // Most checks found the rows current: the deltas, not rebuilds, kept
+  // them.
+  EXPECT_GT(sched.kept_current * 2, sched.checks);
 }
 
 }  // namespace

@@ -162,18 +162,27 @@ TEST(TaskManager, ParkAndRestorePreservesQueuePosition) {
 TEST(TaskManager, VersionMovesOnQueueChangesButNotOnLaunch) {
   TaskCharDb db;
   TaskManager tm(db);
-  std::uint64_t v0 = tm.version();
-  tm.enqueue(spec_named("m", 0, true), 1, 0);
-  std::uint64_t v1 = tm.version();
+  const ResourceKind cpu = ResourceKind::kCpu;
+  const ResourceKind gpu = ResourceKind::kGpu;
+  std::uint64_t v0 = tm.version(cpu);
+  std::uint64_t g0 = tm.version(gpu);
+  tm.enqueue(spec_named("m", 0, true), 1, 0);  // every queue but the GPU one
+  std::uint64_t v1 = tm.version(cpu);
   EXPECT_NE(v1, v0);
+  EXPECT_EQ(tm.slots(1, 0).size(), 4u);
   // A launch only parks refs: dispatch rows stay, checked at use.
   tm.note_launched(1, 0);
-  EXPECT_EQ(tm.version(), v1);
+  EXPECT_EQ(tm.version(cpu), v1);
   tm.note_pending_again(1, 0);
-  std::uint64_t v2 = tm.version();
+  std::uint64_t v2 = tm.version(cpu);
   EXPECT_NE(v2, v1);
   tm.note_finished(1, 0);
-  EXPECT_NE(tm.version(), v2);
+  EXPECT_NE(tm.version(cpu), v2);
+  EXPECT_TRUE(tm.slots(1, 0).empty());
+  // Each queue has its own version: the GPU queue never changed.
+  EXPECT_EQ(tm.version(gpu), g0);
+  tm.clear_queues();
+  EXPECT_NE(tm.version(gpu), g0);
 }
 
 TEST(TaskManager, LocalRefsListPreferringRefsAndDropFinishedOnes) {
