@@ -116,11 +116,11 @@ int main(int argc, char** argv) {
     WorkloadPreset preset = base_preset;
     preset.input_gb = 0.5 * static_cast<double>(n);
 
-    // Sub-10 ms runs are at the mercy of one preemption on a shared host,
-    // so fleets up to 100 nodes are timed as the median of several
-    // identical runs (the simulation is deterministic; only host time
-    // differs between them).
-    const int repeats = n <= 100 ? 5 : 1;
+    // One run is at the mercy of a preemption on a shared host, and the
+    // events/s gate compares N=1000 against N=100, so every fleet is timed
+    // as the median of several identical runs (the simulation is
+    // deterministic; only host time differs between them).
+    const int repeats = 5;
     for (SchedulerKind kind : kinds) {
       SimulationConfig cfg;
       cfg.scheduler = kind;

@@ -25,33 +25,9 @@ Simulation::Simulation(SimulationConfig config) : config_(std::move(config)) {
     for (const auto& spec : config_.nodes) cluster_->add_node(spec);
   }
 
-  // Executor sizing policy — the lever behind Fig 8(b)'s memory numbers:
-  // default Spark must fit the weakest node everywhere; RUPAM sizes each
-  // executor to its node.
-  Bytes static_heap =
-      std::max(1.0 * kGiB, cluster_->min_node_memory() - config_.executor_memory_headroom);
+  if (config_.enable_spans) spans_ = std::make_unique<SpanTrace>();
   Rng rng(config_.seed, 0x2545f4914f6cdd1dULL);
-  for (NodeId id : cluster_->node_ids()) {
-    Node& node = cluster_->node(id);
-    ExecutorConfig ec;
-    ec.heap = config_.scheduler == SchedulerKind::kRupam
-                  ? std::max(1.0 * kGiB, node.spec().memory - config_.executor_memory_headroom)
-                  : static_heap;
-    ec.storage_fraction = config_.storage_fraction;
-    ec.task_slots = node.spec().cores;
-    ec.gc = config_.gc;
-    ec.oom_grace = config_.oom_grace;
-    executors_.push_back(std::make_unique<Executor>(sim_, node, id, ec, rng.split()));
-  }
-
-  for (auto& e : executors_) {
-    e->set_peer_cache_probe([this, self = e.get()](const std::string& key) {
-      for (const auto& other : executors_) {
-        if (other.get() != self && other->cache().contains(key)) return true;
-      }
-      return false;
-    });
-  }
+  for (NodeId id : cluster_->node_ids()) add_executor(id, rng);
 
   SchedulerEnv env;
   env.sim = &sim_;
@@ -99,10 +75,6 @@ Simulation::Simulation(SimulationConfig config) : config_(std::move(config)) {
     observers.audit = audit_.get();
   }
   scheduler_->attach(observers);
-  if (config_.enable_spans) {
-    spans_ = std::make_unique<SpanTrace>();
-    for (auto& e : executors_) e->set_span_trace(spans_.get());
-  }
 
   FaultPlan plan = config_.faults;
   if (config_.chaos_seed != 0) {
@@ -162,40 +134,54 @@ Simulation::Simulation(SimulationConfig config) : config_(std::move(config)) {
 }
 
 Simulation::~Simulation() {
-  if (autoscaler_) autoscaler_->stop();
-  if (heartbeats_) heartbeats_->stop();
-  if (sampler_) sampler_->stop();
+  stop_services();
   cluster_->unsubscribe_membership(membership_token_);
 }
 
-NodeId Simulation::provision_node(NodeSpec spec, SimTime boot_delay) {
-  NodeId id = cluster_->provision_node(std::move(spec), boot_delay);
+Executor& Simulation::add_executor(NodeId id, Rng& rng) {
   Node& node = cluster_->node(id);
-  // Same sizing policy as construction: default Spark uses the static
-  // heap frozen at startup; RUPAM sizes to the node.
-  Bytes static_heap =
-      std::max(1.0 * kGiB, cluster_->min_node_memory() - config_.executor_memory_headroom);
+  // Executor sizing policy — the lever behind Fig 8(b)'s memory numbers:
+  // default Spark must fit the weakest node everywhere, so its heap follows
+  // the smallest current member (a join or leave can move it); RUPAM sizes
+  // each executor to its node.
+  Bytes memory = config_.scheduler == SchedulerKind::kRupam ? node.spec().memory
+                                                            : cluster_->min_node_memory();
   ExecutorConfig ec;
-  ec.heap = config_.scheduler == SchedulerKind::kRupam
-                ? std::max(1.0 * kGiB, node.spec().memory - config_.executor_memory_headroom)
-                : static_heap;
+  ec.heap = std::max(1.0 * kGiB, memory - config_.executor_memory_headroom);
   ec.storage_fraction = config_.storage_fraction;
   ec.task_slots = node.spec().cores;
   ec.gc = config_.gc;
   ec.oom_grace = config_.oom_grace;
-  executors_.push_back(std::make_unique<Executor>(sim_, node, id, ec, elastic_rng_.split()));
-  Executor* exec = executors_.back().get();
-  exec->set_peer_cache_probe([this, self = exec](const std::string& key) {
+  executors_.push_back(std::make_unique<Executor>(sim_, node, id, ec, rng.split()));
+  Executor& exec = *executors_.back();
+  exec.set_peer_cache_probe([this, self = &exec](const std::string& key) {
     for (const auto& other : executors_) {
       if (other.get() != self && other->cache().contains(key)) return true;
     }
     return false;
   });
-  if (spans_) exec->set_span_trace(spans_.get());
+  if (spans_) exec.set_span_trace(spans_.get());
+  return exec;
+}
+
+NodeId Simulation::provision_node(NodeSpec spec, SimTime boot_delay) {
+  NodeId id = cluster_->provision_node(std::move(spec), boot_delay);
   // Registered before the boot event fires, so when the node turns live
   // the scheduler already has a slot-accounting row for it.
-  scheduler_->register_executor(exec);
+  scheduler_->register_executor(&add_executor(id, elastic_rng_));
   return id;
+}
+
+void Simulation::start_services() {
+  heartbeats_->start();
+  if (sampler_) sampler_->start();
+  if (autoscaler_) autoscaler_->start();
+}
+
+void Simulation::stop_services() {
+  if (autoscaler_) autoscaler_->stop();
+  heartbeats_->stop();
+  if (sampler_) sampler_->stop();
 }
 
 void Simulation::trace_membership(NodeId node, TraceEventType type) {
@@ -266,9 +252,7 @@ void Simulation::begin(const Application& app) {
   run_finished_at_ = 0.0;
   run_steps_ = 0;
   run_active_ = true;
-  heartbeats_->start();
-  if (sampler_) sampler_->start();
-  if (autoscaler_) autoscaler_->start();
+  start_services();
   // DAG announcement (no-op for every scheduler without precomputed
   // priorities) strictly precedes the first stage submission.
   scheduler_->register_dag(app);
@@ -280,7 +264,7 @@ void Simulation::begin(const Application& app) {
 
 void Simulation::step_once() {
   if (!sim_.step()) {
-    throw std::runtime_error("Simulation: event queue drained before completion");
+    throw std::runtime_error("Simulation: event queue drained before the run completed");
   }
   if (sim_.now() - run_started_ > config_.max_sim_time) {
     throw std::runtime_error("Simulation: exceeded max_sim_time — likely unschedulable");
@@ -302,9 +286,7 @@ bool Simulation::advance_until(SimTime t) {
 SimTime Simulation::finish() {
   if (!run_active_) throw std::runtime_error("Simulation: finish() without begin()");
   while (!run_done_) step_once();
-  if (autoscaler_) autoscaler_->stop();
-  heartbeats_->stop();
-  if (sampler_) sampler_->stop();
+  stop_services();
   snapshot_gauges();
   if (config_.enable_analysis) {
     dag_->set_job_observer(nullptr);
@@ -331,14 +313,13 @@ TenantRunReport Simulation::run(const SubmissionStream& stream) {
   scheduler_->set_launch_observer(
       [&jct](JobId job, SimTime now) { jct.note_launch(job, now); });
 
-  SimTime started = sim_.now();
-  SimTime finished_at = started;
+  run_started_ = sim_.now();
+  run_steps_ = 0;
+  SimTime finished_at = run_started_;
   std::size_t remaining = stream.size();
-  heartbeats_->start();
-  if (sampler_) sampler_->start();
-  if (autoscaler_) autoscaler_->start();
+  start_services();
   for (const TimedSubmission& s : stream.items()) {
-    sim_.schedule_at(started + s.at, [this, &s, &remaining, &finished_at] {
+    sim_.schedule_at(run_started_ + s.at, [this, &s, &remaining, &finished_at] {
       // Same announce-before-submit contract as the single-app path, per
       // arriving application (still a no-op for rank-free schedulers).
       scheduler_->register_dag(s.app);
@@ -348,29 +329,14 @@ TenantRunReport Simulation::run(const SubmissionStream& stream) {
       });
     });
   }
-  std::size_t steps = 0;
-  while (remaining > 0) {
-    if (!sim_.step()) {
-      throw std::runtime_error(
-          "Simulation: event queue drained before all applications finished");
-    }
-    if (sim_.now() - started > config_.max_sim_time) {
-      throw std::runtime_error("Simulation: exceeded max_sim_time — likely unschedulable");
-    }
-    if (++steps % 10000000 == 0) {
-      RUPAM_WARN(sim_.now(), "simulation still running after ", steps, " events (t=",
-                 sim_.now(), "s) — possible scheduling livelock");
-    }
-  }
-  if (autoscaler_) autoscaler_->stop();
-  heartbeats_->stop();
-  if (sampler_) sampler_->stop();
+  while (remaining > 0) step_once();
+  stop_services();
   snapshot_gauges();
   dag_->set_job_observer(nullptr);
   scheduler_->set_launch_observer(nullptr);
 
   TenantRunReport report;
-  report.makespan = finished_at - started;
+  report.makespan = finished_at - run_started_;
   report.jobs = jct.jobs();
   report.overall = jct.overall();
   report.per_pool = jct.by_pool();

@@ -213,7 +213,8 @@ class Simulation {
   std::unique_ptr<DecisionAudit> audit_;
   std::unique_ptr<SpanTrace> spans_;
   OverheadProfiler* profiler_ = nullptr;
-  /// Incremental-run state (begin/advance_until/finish).
+  /// Run state: run_started_ and run_steps_ serve both entry points; the
+  /// rest is the incremental run's (begin/advance_until/finish).
   std::optional<JctAccountant> jct_;
   std::string run_app_name_;
   SimTime run_started_ = 0.0;
@@ -232,7 +233,15 @@ class Simulation {
   std::size_t membership_token_ = 0;
 
   void register_stage_parents(const Application& app);
-  /// Fire one event; throws on drained queue / max_sim_time overrun.
+  /// Build, wire and keep the executor of node `id`, drawing its jitter
+  /// stream from `rng`.
+  Executor& add_executor(NodeId id, Rng& rng);
+  /// Start / stop the periodic services (heartbeats, sampler, autoscaler)
+  /// around a run.
+  void start_services();
+  void stop_services();
+  /// Fire one event of the run that started at run_started_; throws on a
+  /// drained queue or a max_sim_time overrun.
   void step_once();
   void handle_membership(NodeId node, NodeLifecycle state);
   void trace_membership(NodeId node, TraceEventType type);

@@ -55,33 +55,24 @@ void CapabilityScheduler::task_succeeded(StageState& stage, TaskState&,
   p.gpu = p.gpu || metrics.used_gpu;
 }
 
-std::vector<NodeId> CapabilityScheduler::ranked_nodes(ResourceKind kind) const {
-  std::vector<NodeId> ids = cluster().node_ids();
-  std::vector<std::pair<double, NodeId>> scored;
-  scored.reserve(ids.size());
-  for (NodeId id : ids) {
-    if (!cluster().schedulable(id)) continue;  // draining/decommissioned
-    NodeMetrics m = cluster().node(id).metrics();
-    // Capability first; break ties toward the emptier executor so the
-    // stage spreads instead of serializing on the single best node.
-    Executor* exec = executor(id);
-    double load = exec != nullptr ? static_cast<double>(exec->running_tasks()) : 0.0;
-    scored.push_back({-m.capability(kind) * 1000.0 + load, id});
-  }
-  std::sort(scored.begin(), scored.end());
-  std::vector<NodeId> out(scored.size());
-  for (std::size_t i = 0; i < scored.size(); ++i) out[i] = scored[i].second;
-  return out;
-}
-
-const std::vector<NodeId>& CapabilityScheduler::ranked_free_nodes(ResourceKind kind) {
+const std::vector<NodeId>& CapabilityScheduler::ranked_nodes(ResourceKind kind, bool every_node) {
   scored_scratch_.clear();
-  for_each_ready_node(0, [&](NodeId id, Executor& exec) {
-    NodeMetrics m = cluster().node(id).metrics();
-    scored_scratch_.push_back(
-        {-m.capability(kind) * 1000.0 + static_cast<double>(exec.running_tasks()), id});
-    return true;
-  });
+  // Capability first; break ties toward the emptier executor so the stage
+  // spreads instead of serializing on the single best node.
+  auto add = [&](NodeId id, const Executor* exec) {
+    double load = exec != nullptr ? static_cast<double>(exec->running_tasks()) : 0.0;
+    scored_scratch_.push_back({-cluster().node(id).metrics().capability(kind) * 1000.0 + load, id});
+  };
+  if (every_node) {
+    for (NodeId id : cluster().node_ids()) {
+      if (cluster().schedulable(id)) add(id, executor(id));  // not draining/decommissioned
+    }
+  } else {
+    for_each_ready_node(0, [&](NodeId id, Executor& exec) {
+      add(id, &exec);
+      return true;
+    });
+  }
   std::sort(scored_scratch_.begin(), scored_scratch_.end());
   ranked_scratch_.clear();
   for (const auto& [score, id] : scored_scratch_) ranked_scratch_.push_back(id);
@@ -103,10 +94,8 @@ void CapabilityScheduler::try_dispatch() {
       ResourceKind kind = stage_bottleneck(name_of(stage));
       // The audit exposes the rank index and full candidate list, so only
       // rank every node while an audit sink is attached; the fast path
-      // ranks just the maybe-free set (same comparator, same winner).
-      std::vector<NodeId> audited;  // empty unless an audit sink is attached
-      if (audit_enabled()) audited = ranked_nodes(kind);
-      const std::vector<NodeId>& ranked = audit_enabled() ? audited : ranked_free_nodes(kind);
+      // ranks just the maybe-free set (same score, same winner).
+      const std::vector<NodeId>& ranked = ranked_nodes(kind, audit_enabled());
       for (std::size_t rank = 0; rank < ranked.size(); ++rank) {
         NodeId node = ranked[rank];
         Executor* exec = executor(node);
@@ -135,7 +124,7 @@ void CapabilityScheduler::try_dispatch() {
     StageState& stage = it->second;
     TaskState& task = stage.tasks[task_index];
     ResourceKind kind = stage_bottleneck(name_of(stage));
-    for (NodeId node : ranked_free_nodes(kind)) {
+    for (NodeId node : ranked_nodes(kind, /*every_node=*/false)) {
       Executor* exec = executor(node);
       if (exec == nullptr || exec->free_slots() <= 0 || !node_usable(node)) continue;
       if (task.has_attempt_on(node)) continue;

@@ -56,13 +56,12 @@ class CapabilityScheduler : public SchedulerBase {
   ResourceKind stage_bottleneck(StageNameId name) const;
   /// Interned name of an active stage (recorded at submit).
   StageNameId name_of(const StageState& stage) const;
-  /// Nodes ordered best-first for `kind`, by static capability then load.
-  std::vector<NodeId> ranked_nodes(ResourceKind kind) const;
-  /// Same ranking restricted to nodes with a free slot (the maybe-free
-  /// set) — the dispatch fast path. The comparator is identical, so the
-  /// first admissible node matches the full ranking's. Returns a reference
-  /// into reused scratch, valid until the next call.
-  const std::vector<NodeId>& ranked_free_nodes(ResourceKind kind);
+  /// Nodes ordered best-first for `kind`, by static capability then load:
+  /// every schedulable node (the audit's candidate list), or only those
+  /// with a free slot (the maybe-free set) — the dispatch fast path, whose
+  /// first admissible node is the full ranking's. Returns a reference into
+  /// reused scratch, valid until the next call.
+  const std::vector<NodeId>& ranked_nodes(ResourceKind kind, bool every_node);
 
   Config config_;
   /// Stage names interned once per submit; profiles are dense by id.

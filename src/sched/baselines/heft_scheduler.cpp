@@ -70,22 +70,19 @@ double HeftScheduler::upward_rank(StageId stage) const {
   return it != rank_.end() ? it->second : 0.0;
 }
 
+HeftScheduler::NodeCost HeftScheduler::node_cost(const TaskSpec& task, NodeId node) const {
+  return {exec_cost(task, cluster().node(node).spec()), node};
+}
+
 NodeId HeftScheduler::best_free_node(const TaskSpec& task) {
-  NodeId best = kInvalidNode;
-  double best_cost = std::numeric_limits<double>::infinity();
+  NodeCost best{std::numeric_limits<double>::infinity(), kInvalidNode};
   for_each_ready_node(0, [&](NodeId id, Executor& exec) {
     note_node_visit();
     if (exec.free_slots() <= 0) return true;
-    double cost = exec_cost(task, cluster().node(id).spec());
-    // Ring order visits ascending NodeId from 0, so strict < breaks cost
-    // ties toward the lowest id — the same order the audit ranking uses.
-    if (cost < best_cost) {
-      best_cost = cost;
-      best = id;
-    }
+    best = std::min(best, node_cost(task, id));
     return true;
   });
-  return best;
+  return best.second;
 }
 
 void HeftScheduler::try_dispatch() {
@@ -114,12 +111,10 @@ void HeftScheduler::try_dispatch() {
       if (node == kInvalidNode) continue;
       if (audit_enabled()) {
         // Full EFT ranking over every schedulable node for the audit
-        // trail; the winner matches best_free_node's (same cost table,
-        // same lowest-id tie-break).
-        std::vector<std::pair<double, NodeId>> scored;
+        // trail, in best_free_node's (cost, id) order.
+        std::vector<NodeCost> scored;
         for (NodeId id : cluster().node_ids()) {
-          if (!cluster().schedulable(id)) continue;
-          scored.push_back({exec_cost(next->spec, cluster().node(id).spec()), id});
+          if (cluster().schedulable(id)) scored.push_back(node_cost(next->spec, id));
         }
         std::sort(scored.begin(), scored.end());
         Explain e;

@@ -24,6 +24,7 @@
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sched/scheduler.hpp"
@@ -56,8 +57,12 @@ class HeftScheduler : public SchedulerBase {
 
  private:
   double avg_stage_cost(const Stage& stage) const;
-  /// Best free node for `task` by exec_cost, ties to the lowest NodeId;
-  /// kInvalidNode when no free slot exists.
+  /// A node's place in the EFT order: by exec_cost, ties to the lowest
+  /// NodeId. Dispatch and the audit ranking compare nodes only by this.
+  using NodeCost = std::pair<double, NodeId>;
+  NodeCost node_cost(const TaskSpec& task, NodeId node) const;
+  /// First free node for `task` in the EFT order; kInvalidNode when no
+  /// free slot exists.
   NodeId best_free_node(const TaskSpec& task);
 
   std::map<StageId, double> rank_;

@@ -44,17 +44,6 @@ std::optional<std::size_t> algorithm2_select(const std::vector<DispatchTaskView>
   return std::nullopt;
 }
 
-void CandidateSegment::clear() {
-  rows_.clear();
-  locked_.clear();
-  by_lock_node_.clear();
-  by_lock_node_sorted_ = true;
-  cached_ = 0;
-  tombstones_ = 0;
-  pool_rows_.clear();
-  pools_ = 0;
-}
-
 void CandidateSegment::account(std::size_t i, bool add) {
   const CandidateRow& row = rows_[i];
   if (row.cached_input) add ? ++cached_ : --cached_;
@@ -99,17 +88,31 @@ void CandidateSegment::replace(std::size_t i, const CandidateRow& row) {
   account(i, true);
 }
 
+std::size_t CandidateSegment::insert(const CandidateRow& row) {
+  auto at = std::lower_bound(rows_.begin(), rows_.end(), row.seq,
+                             [](const CandidateRow& r, std::uint64_t s) { return r.seq < s; });
+  std::size_t i = static_cast<std::size_t>(at - rows_.begin());
+  rows_.insert(at, row);
+  reindex();
+  return i;
+}
+
 void CandidateSegment::compact() {
   std::erase_if(rows_, [](const CandidateRow& r) { return r.gone; });
-  // Re-derive the index-keyed aggregates over the shifted rows.
+  tombstones_ = 0;
+  reindex();
+}
+
+void CandidateSegment::reindex() {
   locked_.clear();
   by_lock_node_.clear();
   by_lock_node_sorted_ = true;
   cached_ = 0;
-  tombstones_ = 0;
   std::fill(pool_rows_.begin(), pool_rows_.end(), 0);
   pools_ = 0;
-  for (std::size_t i = 0; i < rows_.size(); ++i) account(i, true);
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    if (!rows_[i].gone) account(i, true);
+  }
 }
 
 std::uint32_t CandidateSegment::first_pool() const {

@@ -80,25 +80,27 @@ struct CandidateRow {
   bool gone = false;
 };
 
-/// One resource queue's candidate rows, in queue order, with the indexes
-/// select_candidate() prunes by. Kept by delta while the queue changes:
-/// rows are appended at enqueue, tombstoned when their task launches or
-/// finishes, revived when it waits again and patched when DB_task_char
-/// learns about their task. Whether a row may launch is asked at use.
-/// Every aggregate (cached-input count, pools, lock indexes) covers
-/// exactly the live rows, as if the segment had been built from them
-/// alone.
+/// One resource queue's candidate rows, in queue (seq) order, with the
+/// indexes select_candidate() prunes by. The rows are the queue: they are
+/// appended at enqueue, tombstoned when their task launches or finishes,
+/// revived (or, once compacted away, re-inserted at their seq) when it
+/// waits again and patched when DB_task_char learns about their task.
+/// Whether a row may launch is asked at use. Every aggregate
+/// (cached-input count, pools, lock indexes) covers exactly the live rows,
+/// as if the segment had been built from them alone.
 class CandidateSegment {
  public:
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
-  void clear();
   /// Append a row; seqs must ascend.
   void push(const CandidateRow& row);
   /// Tombstone live row `i`.
   void erase(std::size_t i);
   /// Replace row `i` with `row` (same seq); a tombstone comes back live.
   void replace(std::size_t i, const CandidateRow& row);
+  /// Insert live `row` at its seq's position (no row holds that seq);
+  /// returns its index. Later rows' indexes shift up.
+  std::size_t insert(const CandidateRow& row);
   /// Drop the tombstones: live rows keep their order, indexes shift down.
   void compact();
 
@@ -122,6 +124,8 @@ class CandidateSegment {
  private:
   /// Count row `i` into (`add`) or out of the aggregates.
   void account(std::size_t i, bool add);
+  /// Re-derive the aggregates over the live rows after indexes shifted.
+  void reindex();
 
   std::vector<CandidateRow> rows_;
   std::vector<std::size_t> locked_;

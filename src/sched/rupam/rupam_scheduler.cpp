@@ -71,7 +71,7 @@ void RupamScheduler::note_task_key(StageState& stage, std::size_t index) {
 }
 
 void RupamScheduler::task_pending_changed(StageState& stage, std::size_t index, bool pending) {
-  // Keep the TM queues in lock-step with the task's state: a launched
+  // Keep the queues in lock-step with the task's state: a launched
   // task's refs park (the GPU queue still races them); a failed or
   // relocated task's refs come back at their original queue positions.
   if (pending) {
@@ -101,25 +101,7 @@ void RupamScheduler::task_relaunchable(StageState& stage, TaskState& task) {
   enqueue_task(stage, index);
 }
 
-RupamScheduler::CurrentRows RupamScheduler::current_rows() const {
-  CurrentRows current{};
-  for (std::size_t k = 0; k < kNumResourceKinds; ++k) {
-    current[k] = rows_[k].tm_version == tm_.version(static_cast<ResourceKind>(k)) &&
-                 rows_[k].db_version == db_.version();
-  }
-  return current;
-}
-
-void RupamScheduler::stamp_rows(const CurrentRows& current) {
-  for (std::size_t k = 0; k < kNumResourceKinds; ++k) {
-    if (!current[k]) continue;
-    rows_[k].tm_version = tm_.version(static_cast<ResourceKind>(k));
-    rows_[k].db_version = db_.version();
-  }
-}
-
 void RupamScheduler::enqueue_task(StageState& stage, std::size_t index) {
-  CurrentRows current = current_rows();
   const TaskSpec& spec = stage.tasks[index].spec;
   std::span<const TaskManager::Slot> added = tm_.enqueue(spec, stage.set.stage, index);
   if (!added.empty() && row_index_.size() <= added.back().seq) {
@@ -127,13 +109,13 @@ void RupamScheduler::enqueue_task(StageState& stage, std::size_t index) {
     row_index_.resize(added.back().seq + 1);
   }
   // Seqs ascend, so the new refs' rows go at the end of their queues.
-  StageNameId name = db_.find_stage(spec.stage_name);
+  StageNameId name = db_.intern_stage(spec.stage_name);
   for (const TaskManager::Slot& slot : added) {
-    std::size_t k = static_cast<std::size_t>(slot.kind);
-    QueueRows& q = rows_[k];
-    if (current[k] && push_row(q, slot.seq, stage, index, name)) index_rows(q, q.tasks.size() - 1);
+    QueueRows& q = rows_[static_cast<std::size_t>(slot.kind)];
+    q.candidates.push(make_row(slot.seq, stage, stage.tasks[index], name));
+    q.tasks.emplace_back(&stage, index);
+    index_rows(q, q.tasks.size() - 1);
   }
-  stamp_rows(current);
 }
 
 void RupamScheduler::index_rows(const QueueRows& q, std::size_t from) {
@@ -168,48 +150,43 @@ void RupamScheduler::compact_rows(QueueRows& q) {
 }
 
 void RupamScheduler::park_task(StageState& stage, std::size_t index) {
-  // Parking moves no version: the rows of queues that are current stay
-  // current once the launched task's rows are tombstoned. The GPU queue
-  // keeps its row while racing: a freed device may poach the task.
-  CurrentRows current = current_rows();
+  // The launched task's rows are tombstoned, but the GPU queue keeps its
+  // row while racing: a freed device may poach the task.
   bool races = config_.gpu_cpu_race;
   for (const TaskManager::Slot& slot : tm_.note_launched(stage.set.stage, index)) {
-    std::size_t k = static_cast<std::size_t>(slot.kind);
-    if (current[k] && !(races && slot.kind == ResourceKind::kGpu)) drop_row(rows_[k], slot.seq);
+    if (!(races && slot.kind == ResourceKind::kGpu)) {
+      drop_row(rows_[static_cast<std::size_t>(slot.kind)], slot.seq);
+    }
   }
 }
 
 void RupamScheduler::restore_task(StageState& stage, std::size_t index) {
-  CurrentRows current = current_rows();
   tm_.note_pending_again(stage.set.stage, index);
   // A restored ref's row comes back at its seq: revived from its
-  // tombstone (re-read, as DB_task_char patches skip tombstones), or kept
-  // by the racing GPU queue. A row compacted away belongs mid-queue, and
-  // that queue is rebuilt at its next use.
+  // tombstone (re-read, as DB_task_char patches skip tombstones),
+  // re-inserted mid-queue once compaction dropped it, or kept by the
+  // racing GPU queue.
   StageNameId name = db_.find_stage(stage.tasks[index].spec.stage_name);
   for (const TaskManager::Slot& slot : tm_.slots(stage.set.stage, index)) {
-    std::size_t k = static_cast<std::size_t>(slot.kind);
-    if (!current[k]) continue;
-    CandidateSegment& seg = rows_[k].candidates;
-    std::size_t row = row_of(rows_[k], slot.seq);
+    QueueRows& q = rows_[static_cast<std::size_t>(slot.kind)];
+    std::size_t row = row_of(q, slot.seq);
     if (row == CandidateSegment::npos) {
-      current[k] = false;
-    } else if (seg.rows()[row].gone) {
-      seg.replace(row, make_row(slot.seq, stage, stage.tasks[index], name));
+      row = q.candidates.insert(make_row(slot.seq, stage, stage.tasks[index], name));
+      q.tasks.emplace(q.tasks.begin() + static_cast<std::ptrdiff_t>(row), &stage, index);
+      q.heads = {};
+      index_rows(q, row);
+    } else if (q.candidates.rows()[row].gone) {
+      q.candidates.replace(row, make_row(slot.seq, stage, stage.tasks[index], name));
     }
   }
-  stamp_rows(current);
 }
 
 void RupamScheduler::finish_task(StageState& stage, std::size_t index,
                                  const TaskMetrics& metrics) {
-  CurrentRows current = current_rows();
   for (const TaskManager::Slot& slot : tm_.slots(stage.set.stage, index)) {
-    std::size_t k = static_cast<std::size_t>(slot.kind);
-    if (current[k]) drop_row(rows_[k], slot.seq);
+    drop_row(rows_[static_cast<std::size_t>(slot.kind)], slot.seq);
   }
   tm_.note_finished(stage.set.stage, index);
-  stamp_rows(current);
 
   // The DB write changes the rows of every waiting task with the finished
   // task's (stage name, partition) key, and no other. Only stages of that
@@ -224,9 +201,7 @@ void RupamScheduler::finish_task(StageState& stage, std::size_t index,
       return;
     }
     for (const TaskManager::Slot& slot : tm_.slots(owner.set.stage, i)) {
-      std::size_t k = static_cast<std::size_t>(slot.kind);
-      if (!current[k]) continue;
-      QueueRows& q = rows_[k];
+      QueueRows& q = rows_[static_cast<std::size_t>(slot.kind)];
       std::size_t row = row_of(q, slot.seq);
       if (row == CandidateSegment::npos || q.candidates.rows()[row].gone) continue;
       q.candidates.replace(row, make_row(slot.seq, owner, task, name));
@@ -240,7 +215,6 @@ void RupamScheduler::finish_task(StageState& stage, std::size_t index,
       patch(*s.stage, static_cast<std::size_t>(spec.partition));
     }
   }
-  stamp_rows(current);
 }
 
 void RupamScheduler::seed_monitor() {
@@ -326,71 +300,19 @@ CandidateRow RupamScheduler::make_row(std::uint64_t seq, const StageState& stage
   return row;
 }
 
-bool RupamScheduler::push_row(QueueRows& q, std::uint64_t seq, StageState& stage,
-                              std::size_t index, StageNameId name) {
-  if (index >= stage.tasks.size() || stage.tasks[index].finished) return false;
-  q.candidates.push(make_row(seq, stage, stage.tasks[index], name));
-  q.tasks.emplace_back(&stage, index);
-  return true;
-}
-
-RupamScheduler::QueueRows& RupamScheduler::rows_for(ResourceKind kind) {
-  std::size_t k = static_cast<std::size_t>(kind);
-  if (!current_rows()[k]) {
-    build_rows(kind, rows_[k]);
-    index_rows(rows_[k], 0);
-  }
-  return rows_[k];
-}
-
-void RupamScheduler::build_rows(ResourceKind kind, QueueRows& q) {
-  q.tm_version = tm_.version(kind);
-  q.db_version = db_.version();
-  q.candidates.clear();
-  q.tasks.clear();
-  q.heads = {};
-  auto add = [&](std::uint64_t seq, const TaskManager::PendingRef& ref) {
-    auto it = stages_.find(ref.stage);
-    if (it == stages_.end()) return;
-    StageState& stage = it->second;
-    if (ref.task_index < stage.tasks.size() && stage.tasks[ref.task_index].spec.id != ref.task) {
-      return;
-    }
-    if (push_row(q, seq, stage, ref.task_index, ref.name)) note_task_checks(1);
-  };
-  const TaskManager::Queue& active = tm_.active(kind);
-  if (kind == ResourceKind::kGpu && config_.gpu_cpu_race) {
-    // Merge active and parked refs in enqueue order: a parked GPU ref is a
-    // task racing on a CPU that a freed device may poach.
-    const TaskManager::Queue& parked = tm_.parked(kind);
-    auto ait = active.begin();
-    auto pit = parked.begin();
-    while (ait != active.end() || pit != parked.end()) {
-      if (pit == parked.end() || (ait != active.end() && ait->first < pit->first)) {
-        add(ait->first, ait->second);
-        ++ait;
-      } else {
-        add(pit->first, pit->second);
-        ++pit;
-      }
-    }
-  } else {
-    for (const auto& [seq, ref] : active) add(seq, ref);
-  }
-}
-
 /// Answers select_candidate()'s questions from the scheduler's task state
 /// for one kind-visit (see dispatcher.hpp).
 class RupamScheduler::RowSource {
  public:
   RowSource(RupamScheduler& sched, ResourceKind kind) : sched_(sched) {
     bool races = kind == ResourceKind::kGpu && sched.config_.gpu_cpu_race;
-    add(sched.rows_for(kind), /*head=*/0, kind, races);
+    add(sched.rows_[static_cast<std::size_t>(kind)], /*head=*/0, kind, races);
     // The CPU side of the dual-run race (§III-C3, BLAS example): with no
     // device idle anywhere, the CPU queue also takes the GPU queue's
     // launchable rows, after its own.
     if (kind == ResourceKind::kCpu && sched.config_.gpu_cpu_race && !sched.any_idle_gpu()) {
-      add(sched.rows_for(ResourceKind::kGpu), /*head=*/1, ResourceKind::kGpu, false);
+      add(sched.rows_[static_cast<std::size_t>(ResourceKind::kGpu)], /*head=*/1,
+          ResourceKind::kGpu, false);
     }
   }
 
@@ -487,11 +409,11 @@ RupamScheduler::Pick RupamScheduler::pick_speculative(
 }
 
 bool RupamScheduler::dispatch_possible() const {
-  for (std::size_t k = 0; k < kNumResourceKinds; ++k) {
-    if (!tm_.active(static_cast<ResourceKind>(k)).empty()) return true;
+  // A live row is a waiting task, or a racing GPU queue's running one
+  // that a freed device may poach.
+  for (const QueueRows& q : rows_) {
+    if (q.candidates.live() > 0) return true;
   }
-  // A parked GPU ref can still yield a race copy when a device frees up.
-  if (config_.gpu_cpu_race && !tm_.parked(ResourceKind::kGpu).empty()) return true;
   // A stage yields speculatables only once it has a straggler threshold.
   return may_speculate();
 }

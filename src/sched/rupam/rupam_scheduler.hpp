@@ -13,20 +13,19 @@
 // Dispatch cost scales with launches, not with queued rows or fleet size:
 //  * admission reads the base scheduler's live-attempt counters (O(1) per
 //    node instead of a scan over every attempt);
-//  * each kind's candidate rows are resolved once and then kept by delta
-//    (row upkeep): an enqueue appends the task's rows; a launch tombstones
-//    them (but the GPU queue's, which races parked tasks) and a finish
-//    the rest; a task waiting again revives its tombstones; a DB_task_char
-//    update patches only the rows of the (stage name, partition) key it
-//    touched. Tombstones are compacted away between rounds once they pass
-//    half the rows. The live rows stay exactly what a rebuild would give;
-//    only a restored ref whose tombstone was compacted away, a TaskManager
-//    queue clear or a DB_task_char change from outside the scheduler
-//    leaves a queue's rows behind its version stamps, and that one queue
-//    is rebuilt at its next use. The clock only changes whether a row may
-//    launch (retry backoff), and that is checked when the row is used;
-//    within a round a row that went stale stays stale, so each visit skips
-//    the stale prefix;
+//  * each kind's candidate rows are its queue: the TaskManager numbers the
+//    refs and tracks their state, and the rows hold the queue order and
+//    the pruning inputs. Every change is a delta (row upkeep): an enqueue
+//    appends the task's rows; a launch tombstones them (but the GPU
+//    queue's, which races parked tasks) and a finish the rest; a task
+//    waiting again revives its tombstones, or re-inserts a row compacted
+//    away at its seq; a DB_task_char update patches only the rows of the
+//    (stage name, partition) key it touched. Tombstones are compacted away
+//    between rounds once they pass half the rows; restores come from event
+//    callbacks, also between rounds, so row indexes hold within one. The
+//    clock only changes whether a row may launch (retry backoff), and that
+//    is checked when the row is used; within a round a row that went stale
+//    stays stale, so each visit skips the stale prefix;
 //  * matching a node against the rows is select_candidate() (pruned
 //    Algorithm 2, dispatcher.hpp): with no lock to the node and no cached
 //    input in play it reads the node's local-ref list and the first
@@ -90,8 +89,10 @@ class RupamScheduler : public SchedulerBase {
 
   void on_heartbeat(const NodeMetrics& metrics) override;
 
-  /// Exposed so experiments can clear DB_task_char between repetitions
-  /// (the paper clears it after each of the five Fig-5 runs).
+  /// Exposed so experiments can clear or seed DB_task_char between runs
+  /// (the paper clears it after each of the five Fig-5 runs). Such writes
+  /// must precede the next stage submission: queued rows carry their
+  /// record's fields and only the scheduler's own writes patch them.
   TaskCharDb& db() { return db_; }
   const RupamConfig& config() const { return config_; }
   ResourceMonitor& resource_monitor() { return rm_; }
@@ -113,31 +114,21 @@ class RupamScheduler : public SchedulerBase {
   /// refusal holds until the round ends: launches only consume capacity.
   bool node_available(const NodeMetrics& metrics, ResourceKind kind) const;
 
-  /// One kind's candidate rows: the pruning inputs plus, in parallel, the
-  /// task each row resolves to (its stage and index: a graft may move the
-  /// stage's tasks).
+  /// One kind's queue: its candidate rows in queue order — its active
+  /// refs, plus (GPU queue under racing) its parked refs, whose running
+  /// task a freed device may poach — and, in parallel, the task each row
+  /// resolves to (its stage and index: a graft may move the stage's
+  /// tasks).
   struct QueueRows {
     CandidateSegment candidates;
     std::vector<std::pair<StageState*, std::size_t>> tasks;
     /// [0]: this round's stale prefix as the kind's own visits see it;
     /// [1]: as the CPU queue borrowing the GPU rows sees it.
     std::array<std::size_t, 2> heads{};
-    /// The queue's TaskManager version and the DB_task_char version the
-    /// rows reflect.
-    std::uint64_t tm_version = ~std::uint64_t{0};
-    std::uint64_t db_version = 0;
   };
-  using CurrentRows = std::array<bool, kNumResourceKinds>;
-  /// The `kind` queue's rows in queue order: its active refs, plus (GPU
-  /// queue under racing) its parked refs, whose running task a freed
-  /// device may poach. Kept by delta, and rebuilt only when they are
-  /// behind the queue's or DB_task_char's version; whether a row may
-  /// launch is checked at use.
-  QueueRows& rows_for(ResourceKind kind);
-  /// Build `kind`'s rows afresh into `q` from the TaskManager queue.
-  void build_rows(ResourceKind kind, QueueRows& q);
-  /// Which queues' rows are current: stamped at the versions they reflect.
-  CurrentRows current_rows() const;
+  const QueueRows& rows(ResourceKind kind) const {
+    return rows_[static_cast<std::size_t>(kind)];
+  }
   const TaskManager& task_manager() const { return tm_; }
 
  private:
@@ -152,11 +143,8 @@ class RupamScheduler : public SchedulerBase {
   };
   class RowSource;
 
-  /// Row upkeep. Each TaskManager or DB_task_char change the scheduler
-  /// makes goes through one of these, which applies it to the rows of
-  /// every queue that was current before it and re-stamps them; a stale
-  /// queue stays stale.
-  void stamp_rows(const CurrentRows& current);
+  /// Row upkeep: each TaskManager or DB_task_char change the scheduler
+  /// makes goes through one of these, which applies it to the rows.
   void enqueue_task(StageState& stage, std::size_t index);
   /// Mark the stage irregular unless task `index` has partition `index`
   /// and the stage's name (see named_stages_).
@@ -175,10 +163,6 @@ class RupamScheduler : public SchedulerBase {
   /// The node-independent Algorithm 2 inputs of ref `seq`'s row.
   CandidateRow make_row(std::uint64_t seq, const StageState& stage, const TaskState& task,
                         StageNameId name) const;
-  /// Append ref `seq` of task `index` of `stage` to `q`, unless the task
-  /// is gone or finished.
-  bool push_row(QueueRows& q, std::uint64_t seq, StageState& stage, std::size_t index,
-                StageNameId name);
   /// GPU racing on the CPU side of a task (§III-C3): running on a CPU with
   /// no device copy yet.
   bool race_eligible(const TaskState& task) const;

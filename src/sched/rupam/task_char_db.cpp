@@ -38,7 +38,6 @@ const TaskCharRecord* TaskCharDb::lookup(const std::string& stage_name, int part
 TaskCharRecord& TaskCharDb::update(const std::string& stage_name, int partition,
                                    const TaskMetrics& metrics, ResourceKind bottleneck) {
   if (partition < 0) throw std::invalid_argument("TaskCharDb: negative partition");
-  ++version_;
   std::vector<std::uint32_t>& slots = slots_[intern_stage(stage_name).index()];
   auto p = static_cast<std::size_t>(partition);
   if (p >= slots.size()) slots.resize(p + 1, 0);
@@ -70,7 +69,6 @@ bool TaskCharDb::stage_uses_gpu(const std::string& stage_name) const {
 }
 
 void TaskCharDb::clear() {
-  ++version_;
   records_.clear();
   for (std::vector<std::uint32_t>& slots : slots_) slots.clear();
   // Interned names survive a clear (ids stay stable across the paper's

@@ -83,8 +83,6 @@ class TaskCharDb {
   /// Drop every record; interned stage ids stay valid.
   void clear();
   std::size_t size() const { return records_.size(); }
-  /// Changes whenever a record changes (update, clear).
-  std::uint64_t version() const { return version_; }
 
  private:
   TypedSymbolTable<StageNameTag> stage_names_;
@@ -94,7 +92,6 @@ class TaskCharDb {
   std::vector<std::vector<std::uint32_t>> slots_;
   /// Dense StageNameId → uses-GPU flag.
   std::vector<std::uint8_t> gpu_stages_;
-  std::uint64_t version_ = 0;
 };
 
 }  // namespace rupam

@@ -61,14 +61,11 @@ std::span<const TaskManager::Slot> TaskManager::enqueue(const TaskSpec& spec, St
                                                        std::size_t task_index) {
   std::vector<Slot>& slots = slots_[{stage, task_index}];
   std::size_t before = slots.size();
-  StageNameId name = db_.intern_stage(spec.stage_name);
   for (ResourceKind kind : classify(spec)) {
     std::uint64_t seq = next_seq_++;
     std::size_t k = static_cast<std::size_t>(kind);
-    active_[k].emplace(seq, PendingRef{stage, task_index, spec.id, name});
     slots.push_back(Slot{kind, seq});
     state_.push_back(RefState::kActive);
-    ++versions_[k];
     for (NodeId node : spec.preferred_nodes) {
       if (node < 0) continue;
       std::vector<LocalRefs>& lists = local_[k];
@@ -108,61 +105,22 @@ std::span<const TaskManager::Slot> TaskManager::note_launched(StageId stage,
                                                              std::size_t task_index) {
   auto it = slots_.find({stage, task_index});
   if (it == slots_.end()) return {};
-  for (const Slot& slot : it->second) {
-    Queue& from = active_[static_cast<std::size_t>(slot.kind)];
-    auto node = from.extract(slot.seq);
-    if (node.empty()) continue;
-    parked_[static_cast<std::size_t>(slot.kind)].insert(std::move(node));
-    state_[slot.seq] = RefState::kParked;
-  }
+  for (const Slot& slot : it->second) state_[slot.seq] = RefState::kParked;
   return it->second;
 }
 
 void TaskManager::note_pending_again(StageId stage, std::size_t task_index) {
   auto it = slots_.find({stage, task_index});
   if (it == slots_.end()) return;
-  for (const Slot& slot : it->second) {
-    std::size_t k = static_cast<std::size_t>(slot.kind);
-    auto node = parked_[k].extract(slot.seq);
-    if (node.empty()) continue;
-    // Re-inserting under the original seq restores the queue position.
-    active_[k].insert(std::move(node));
-    state_[slot.seq] = RefState::kActive;
-    ++versions_[k];
-  }
+  for (const Slot& slot : it->second) state_[slot.seq] = RefState::kActive;
 }
 
 void TaskManager::note_finished(StageId stage, std::size_t task_index) {
   auto it = slots_.find({stage, task_index});
   if (it == slots_.end()) return;
-  for (const Slot& slot : it->second) {
-    std::size_t k = static_cast<std::size_t>(slot.kind);
-    active_[k].erase(slot.seq);
-    parked_[k].erase(slot.seq);
-    state_[slot.seq] = RefState::kGone;
-    ++versions_[k];
-  }
+  for (const Slot& slot : it->second) state_[slot.seq] = RefState::kGone;
   slots_.erase(it);
   ++finishes_;
-}
-
-const TaskManager::Queue& TaskManager::active(ResourceKind kind) const {
-  return active_[static_cast<std::size_t>(kind)];
-}
-
-const TaskManager::Queue& TaskManager::parked(ResourceKind kind) const {
-  return parked_[static_cast<std::size_t>(kind)];
-}
-
-void TaskManager::clear_queues() {
-  for (auto& q : active_) q.clear();
-  for (auto& q : parked_) q.clear();
-  slots_.clear();
-  next_seq_ = 0;
-  state_.clear();
-  for (auto& lists : local_) lists.clear();
-  ++finishes_;
-  for (std::uint64_t& v : versions_) ++v;
 }
 
 void TaskManager::record_completion(const TaskSpec& spec, const TaskMetrics& metrics) {

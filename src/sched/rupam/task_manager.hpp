@@ -7,18 +7,14 @@
 //    (enqueued in all queues);
 //  * first-time reduce/result tasks are assumed network-bound.
 //
-// Queues are kept incrementally instead of rebuilt per dispatch: each
-// queue splits into an *active* half (refs whose task is waiting) and a
-// *parked* half (refs whose task is running — kept because the attempt
-// may fail, and because the GPU queue races parked refs). Refs move
-// between halves on launch/failure under their original sequence number,
-// so restored refs keep their queue position.
-//
-// Each queue has its own version(kind). It changes whenever refs join,
-// return to or leave that queue, but not when a launch parks them: the
-// dispatcher keeps its candidate rows, applies each change to them as a
-// delta (slots() names the refs a task holds), and checks each row's task
-// state at use.
+// The queues themselves are the dispatcher's candidate rows (RupamScheduler
+// keeps them); the TM numbers refs and tracks their state. Each enqueue
+// gives the task one ref per queue classify() names, under a fresh sequence
+// number (queue order). A ref is *active* while its task waits and
+// *parked* while it runs — kept because the attempt may fail, and because
+// the GPU queue races parked refs. A ref keeps its seq across launch and
+// failure, so a restored ref keeps its queue position; its task finishing
+// drops it. slots() names the refs a task holds.
 //
 // Each queue also keeps, per node, the seqs of its refs whose task prefers
 // that node (NODE_LOCAL candidates), appended at enqueue. Seqs only grow,
@@ -49,20 +45,10 @@ struct TaskManagerConfig {
 
 class TaskManager {
  public:
-  struct PendingRef {
-    StageId stage = 0;
-    std::size_t task_index = 0;
-    TaskId task = 0;
-    /// Interned stage name (assigned at enqueue) — lets the dispatch path
-    /// hit DB_task_char without re-hashing the stage-name string.
-    StageNameId name;
-  };
-  /// Sequence number → ref, ordered by enqueue time. A task re-enqueued
-  /// after a failure legitimately holds several refs per queue (the old
-  /// restored ones plus the re-characterized ones), matching the paper's
-  /// "characterize again on retry" behaviour.
-  using Queue = std::map<std::uint64_t, PendingRef>;
-  /// One ref a task holds: its queue and sequence number.
+  /// One ref a task holds: its queue and sequence number. A task
+  /// re-enqueued after a failure legitimately holds several refs per queue
+  /// (the old restored ones plus the re-characterized ones), matching the
+  /// paper's "characterize again on retry" behaviour.
   struct Slot {
     ResourceKind kind;
     std::uint64_t seq;
@@ -79,38 +65,28 @@ class TaskManager {
   /// Which queues a (re)submitted task belongs to.
   std::vector<ResourceKind> classify(const TaskSpec& spec) const;
 
-  /// Enqueue into the active half of all queues classify() names.
-  /// Returns the refs it added, in seq order (valid as slots() is).
+  /// Add an active ref to every queue classify() names. Returns the refs
+  /// it added, in seq order (valid as slots() is).
   std::span<const Slot> enqueue(const TaskSpec& spec, StageId stage, std::size_t task_index);
 
   /// The task at (stage, task_index) started running: park its refs.
   /// Returns the refs it holds (as slots() does).
   std::span<const Slot> note_launched(StageId stage, std::size_t task_index);
-  /// The task went back to pending (attempt failed / was relocated):
-  /// restore its parked refs at their original queue positions.
+  /// The task went back to pending (attempt failed / was relocated): its
+  /// parked refs turn active again, under their original seqs.
   void note_pending_again(StageId stage, std::size_t task_index);
   /// The task finished: drop every ref it holds.
   void note_finished(StageId stage, std::size_t task_index);
 
-  const Queue& active(ResourceKind kind) const;
-  const Queue& parked(ResourceKind kind) const;
-  void clear_queues();
-
-  /// Changes when `kind`'s queue gains, regains or loses a ref (enqueue,
-  /// note_pending_again, note_finished, clear_queues), not on
-  /// note_launched.
-  std::uint64_t version(ResourceKind kind) const {
-    return versions_[static_cast<std::size_t>(kind)];
-  }
   /// The refs the task at (stage, task_index) holds, in enqueue order; an
   /// enqueue appends. Valid until the next enqueue or note_finished.
   std::span<const Slot> slots(StageId stage, std::size_t task_index) const;
   /// Ascending seqs of `kind`'s queued refs (active or parked) whose task
   /// lists `node` in preferred_nodes; refs of tasks that finished since the
   /// list was last read are pruned first. The span is valid until the
-  /// next enqueue, note_finished or clear_queues.
+  /// next enqueue or note_finished.
   std::span<const std::uint64_t> local_refs(ResourceKind kind, NodeId node);
-  /// Is the ref with this seq in its queue's active half (task waiting)?
+  /// Is the ref with this seq active (its task waiting)?
   bool ref_active(std::uint64_t seq) const {
     return seq < state_.size() && state_[seq] == RefState::kActive;
   }
@@ -135,13 +111,10 @@ class TaskManager {
 
   TaskCharDb& db_;
   TaskManagerConfig config_;
-  std::array<Queue, kNumResourceKinds> active_;
-  std::array<Queue, kNumResourceKinds> parked_;
   /// (stage, task_index) → every ref the task holds across queues.
   std::map<std::pair<StageId, std::size_t>, std::vector<Slot>> slots_;
   std::uint64_t next_seq_ = 0;
-  std::array<std::uint64_t, kNumResourceKinds> versions_{};
-  /// Seq → which half holds the ref, or kGone once its task finished.
+  /// Seq → the ref's state, kGone once its task finished.
   std::vector<RefState> state_;
   /// Per kind, NodeId → local refs.
   std::array<std::vector<LocalRefs>, kNumResourceKinds> local_;

@@ -365,16 +365,21 @@ TEST(PrunedAlgorithm2, EarlyStopReadsOnlyWhatCanWin) {
 
 // ------------------------------------------------------ row upkeep
 
-/// What a fresh rebuild holds: `v` with only its live rows, pushed in
-/// order into new segments, each row keeping its task's state.
+/// What a fresh rebuild holds: `v` with only its live rows, pushed in seq
+/// (queue) order into new segments, each row keeping its task's state.
 Visit rebuilt(const Visit& v) {
   Visit fresh;
   fresh.count = v.count;
   fresh.local_seqs = v.local_seqs;
   for (std::size_t u = 0; u < v.count; ++u) {
     const auto& rows = v.segments[u].rows();
+    std::vector<std::size_t> live;
     for (std::size_t i = 0; i < rows.size(); ++i) {
-      if (rows[i].gone) continue;
+      if (!rows[i].gone) live.push_back(i);
+    }
+    std::sort(live.begin(), live.end(),
+              [&](std::size_t a, std::size_t b) { return rows[a].seq < rows[b].seq; });
+    for (std::size_t i : live) {
       fresh.segments[u].push(rows[i]);
       fresh.is_valid[u].push_back(v.is_valid[u][i]);
       fresh.preferred[u].push_back(v.preferred[u][i]);
@@ -439,12 +444,20 @@ TEST(RupamRows, DeltaUpkeepMatchesRebuild) {
   // Random segments from the pruned-rule generator, then the changes the
   // scheduler applies as deltas: enqueue appends, finish tombstones (and
   // compacts past half), a DB_task_char update patches a row's record
-  // fields, launch and pending-again flip validity in place.
+  // fields, launch and pending-again flip validity in place, and a restore
+  // re-inserts a row that compaction dropped at its seq.
   Rng rng(4242);
-  std::size_t ops = 0, compactions = 0, picks = 0;
+  std::size_t ops = 0, compactions = 0, inserts = 0, picks = 0;
   for (int trial = 0; trial < 150; ++trial) {
     RowMix mix(rng);
     Visit v = random_visit(rng, mix);
+    /// Rows compaction dropped, with their task state, per use.
+    struct Dropped {
+      CandidateRow row;
+      bool valid;
+      std::set<NodeId> preferred, cached_on;
+    };
+    std::array<std::vector<Dropped>, 2> dropped;
     for (int step = 0; step < 40; ++step) {
       std::size_t u = rng.uniform_index(v.count);
       CandidateSegment& seg = v.segments[u];
@@ -453,17 +466,34 @@ TEST(RupamRows, DeltaUpkeepMatchesRebuild) {
         if (!seg.rows()[i].gone) live.push_back(i);
       }
       double r = rng.uniform();
-      if (live.empty() || r < 0.25) {
+      if (!dropped[u].empty() && r < 0.15) {
+        std::size_t j = rng.uniform_index(dropped[u].size());
+        Dropped d = dropped[u][j];
+        dropped[u].erase(dropped[u].begin() + static_cast<std::ptrdiff_t>(j));
+        d.row.gone = false;
+        mix.draw_record(rng, d.row);  // re-read: the record may have moved on
+        std::size_t at = seg.insert(d.row);
+        ASSERT_EQ(seg.rows()[at].seq, d.row.seq);
+        auto pos = [at](auto& vec) { return vec.begin() + static_cast<std::ptrdiff_t>(at); };
+        v.is_valid[u].insert(pos(v.is_valid[u]), d.valid);
+        v.preferred[u].insert(pos(v.preferred[u]), d.preferred);
+        v.cached_on[u].insert(pos(v.cached_on[u]), d.cached_on);
+        ++inserts;
+      } else if (live.empty() || r < 0.3) {
         mix.append(rng, v, u);
       } else {
         std::size_t i = live[rng.uniform_index(live.size())];
-        if (r < 0.5) {
+        if (r < 0.55) {
           seg.erase(i);
           if (2 * seg.tombstones() > seg.size()) {
             // The scheduler compacts its parallel task list alongside.
             std::size_t kept = 0;
             for (std::size_t j = 0; j < seg.size(); ++j) {
-              if (seg.rows()[j].gone) continue;
+              if (seg.rows()[j].gone) {
+                dropped[u].push_back(
+                    {seg.rows()[j], v.is_valid[u][j], v.preferred[u][j], v.cached_on[u][j]});
+                continue;
+              }
               v.is_valid[u][kept] = v.is_valid[u][j];
               v.preferred[u][kept] = v.preferred[u][j];
               v.cached_on[u][kept] = v.cached_on[u][j];
@@ -476,7 +506,7 @@ TEST(RupamRows, DeltaUpkeepMatchesRebuild) {
             EXPECT_EQ(seg.tombstones(), 0u);
             ++compactions;
           }
-        } else if (r < 0.75) {
+        } else if (r < 0.8) {
           CandidateRow row = seg.rows()[i];
           mix.draw_record(rng, row);
           seg.replace(i, row);
@@ -520,6 +550,7 @@ TEST(RupamRows, DeltaUpkeepMatchesRebuild) {
   }
   EXPECT_EQ(ops, 150u * 40u);
   EXPECT_GT(compactions, 100u);
+  EXPECT_GT(inserts, 100u);
   EXPECT_GT(picks, ops);
 }
 

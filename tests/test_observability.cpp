@@ -4,12 +4,17 @@
 // them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <map>
+#include <memory>
 #include <regex>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "app/cli.hpp"
 #include "app/simulation.hpp"
@@ -17,6 +22,7 @@
 #include "faults/fault_plan.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/overhead.hpp"
+#include "sched/baselines/heft_scheduler.hpp"
 #include "workloads/presets.hpp"
 
 namespace rupam {
@@ -416,6 +422,69 @@ TEST(DecisionAudit, RupamRankIsTheNodesPlaceAmongAdmittedNodes) {
   }
   EXPECT_GT(ranked, 0u);
   EXPECT_GT(behind_head, 0u);  // admitted nodes without a fitting task were passed over
+}
+
+// StageAware and HEFT each rank nodes one way: the audit lists every
+// schedulable node in the order dispatch uses (capability then load; EFT
+// cost then id), so attaching an audit sink changes no placement.
+TEST(DecisionAudit, StageAwareAndHeftRankAlikeWithAndWithoutAudit) {
+  for (SchedulerKind kind : {SchedulerKind::kStageAware, SchedulerKind::kHeft}) {
+    for (const char* workload : {"TeraSort", "GM"}) {
+      auto run = [&](bool audit) {
+        SimulationConfig cfg;
+        cfg.scheduler = kind;
+        cfg.enable_audit = audit;
+        auto sim = std::make_unique<Simulation>(cfg);
+        auto app = std::make_unique<Application>(
+            build_workload(workload_preset(workload), sim->cluster().node_ids(), 1, 0,
+                           hdfs_placement_weights(sim->cluster())));
+        sim->run(*app);
+        return std::make_pair(std::move(sim), std::move(app));
+      };
+      auto [plain, plain_app] = run(false);
+      auto [audited, app] = run(true);
+      ASSERT_NE(audited->audit(), nullptr);
+      std::string where = std::string(to_string(kind)) + " " + workload;
+      auto placements = [](Simulation& sim) {
+        std::vector<std::pair<TaskId, NodeId>> out;
+        for (const TaskMetrics& m : sim.scheduler().completed()) out.emplace_back(m.task, m.node);
+        return out;
+      };
+      EXPECT_EQ(placements(*audited), placements(*plain)) << where;
+
+      std::map<TaskId, const TaskSpec*> specs;
+      for (const Job& job : app->jobs) {
+        for (const Stage& stage : job.stages) {
+          for (const TaskSpec& t : stage.tasks.tasks) specs[t.id] = &t;
+        }
+      }
+      std::size_t checked = 0;
+      for (const DispatchDecision& d : audited->audit()->decisions()) {
+        if (d.reason == "capability_rank") {
+          std::size_t at = d.detail.find("rank=");
+          ASSERT_NE(at, std::string::npos) << where;
+          std::size_t rank = std::stoul(d.detail.substr(at + 5));
+          ASSERT_LT(rank, d.candidate_nodes.size()) << where;
+          EXPECT_EQ(d.candidate_nodes[rank], d.node) << where;
+          ++checked;
+        } else if (d.reason == "heft_eft") {
+          const TaskSpec& task = *specs.at(d.task);
+          auto cost = [&](NodeId id) {
+            return HeftScheduler::exec_cost(task, audited->cluster().node(id).spec());
+          };
+          for (std::size_t i = 1; i < d.candidate_nodes.size(); ++i) {
+            NodeId a = d.candidate_nodes[i - 1], b = d.candidate_nodes[i];
+            EXPECT_TRUE(cost(a) < cost(b) || (cost(a) == cost(b) && a < b)) << where;
+          }
+          EXPECT_NE(std::find(d.candidate_nodes.begin(), d.candidate_nodes.end(), d.node),
+                    d.candidate_nodes.end())
+              << where;
+          ++checked;
+        }
+      }
+      EXPECT_GT(checked, 0u) << where;
+    }
+  }
 }
 
 TEST(DecisionAudit, GpuTaskPlacedOnGpuNodeFromGpuQueue) {

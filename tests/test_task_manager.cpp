@@ -119,15 +119,32 @@ TEST(TaskManager, GpuStageMarkingPropagatesToSiblings) {
   EXPECT_EQ(kinds[0], ResourceKind::kGpu);
 }
 
-TEST(TaskManager, QueuesEnqueueAndClear) {
+/// The queues a task's refs sit in, in slot order.
+std::vector<ResourceKind> kinds_of(const TaskManager& tm, StageId stage, std::size_t index) {
+  std::vector<ResourceKind> kinds;
+  for (const TaskManager::Slot& slot : tm.slots(stage, index)) kinds.push_back(slot.kind);
+  return kinds;
+}
+
+TEST(TaskManager, EnqueueAddsOneActiveRefPerClassifiedQueue) {
   TaskCharDb db;
   TaskManager tm(db);
-  tm.enqueue(spec_named("m", 0, true), 1, 0);
-  EXPECT_EQ(tm.active(ResourceKind::kCpu).size(), 1u);
-  EXPECT_EQ(tm.active(ResourceKind::kNetwork).size(), 1u);
-  EXPECT_EQ(tm.active(ResourceKind::kGpu).size(), 0u);
-  tm.clear_queues();
-  EXPECT_EQ(tm.active(ResourceKind::kCpu).size(), 0u);
+  auto added = tm.enqueue(spec_named("m", 0, true), 1, 0);
+  // A first-time map task: every queue but the GPU one, seqs ascending.
+  EXPECT_EQ(kinds_of(tm, 1, 0), tm.classify(spec_named("m", 0, true)));
+  ASSERT_EQ(added.size(), 4u);
+  for (std::size_t i = 0; i < added.size(); ++i) {
+    EXPECT_EQ(added[i].seq, i);
+    EXPECT_TRUE(tm.ref_active(added[i].seq));
+  }
+  // A second enqueue of the same task appends fresh refs after the first.
+  auto again = tm.enqueue(spec_named("r", 0, false), 1, 0);
+  ASSERT_EQ(again.size(), 1u);
+  EXPECT_EQ(again[0].kind, ResourceKind::kNetwork);
+  EXPECT_EQ(again[0].seq, 4u);
+  EXPECT_EQ(tm.slots(1, 0).size(), 5u);
+  EXPECT_TRUE(tm.slots(1, 1).empty());
+  EXPECT_FALSE(tm.ref_active(5));
 }
 
 TEST(TaskManager, ParkAndRestorePreservesQueuePosition) {
@@ -136,53 +153,45 @@ TEST(TaskManager, ParkAndRestorePreservesQueuePosition) {
   tm.enqueue(spec_named("m", 0, true), 1, 0);
   tm.enqueue(spec_named("m", 1, true), 1, 1);
   tm.enqueue(spec_named("m", 2, true), 1, 2);
-  ASSERT_EQ(tm.active(ResourceKind::kCpu).size(), 3u);
+  auto seqs = [&](std::size_t index) {
+    std::vector<std::uint64_t> out;
+    for (const TaskManager::Slot& slot : tm.slots(1, index)) out.push_back(slot.seq);
+    return out;
+  };
+  auto active = [&](std::size_t index) {
+    std::vector<bool> out;
+    for (std::uint64_t seq : seqs(index)) out.push_back(tm.ref_active(seq));
+    return out;
+  };
+  const std::vector<bool> all(4, true), none(4, false);
+  std::vector<std::uint64_t> head = seqs(0);
 
-  // Launch the head task: its refs park in every queue they occupy.
-  tm.note_launched(1, 0);
-  EXPECT_EQ(tm.active(ResourceKind::kCpu).size(), 2u);
-  EXPECT_EQ(tm.parked(ResourceKind::kCpu).size(), 1u);
-  EXPECT_EQ(tm.parked(ResourceKind::kNetwork).size(), 1u);
+  // Launch the head task: its refs park in every queue they occupy, and
+  // note_launched names them.
+  auto parked = tm.note_launched(1, 0);
+  EXPECT_EQ(parked.size(), 4u);
+  EXPECT_EQ(active(0), none);
+  EXPECT_EQ(active(1), all);
 
-  // A failure restores the refs at their original (front) position.
+  // A failure restores the refs under their original (front) seqs.
   tm.note_pending_again(1, 0);
-  ASSERT_EQ(tm.active(ResourceKind::kCpu).size(), 3u);
-  EXPECT_EQ(tm.parked(ResourceKind::kCpu).size(), 0u);
-  EXPECT_EQ(tm.active(ResourceKind::kCpu).begin()->second.task_index, 0u);
+  EXPECT_EQ(seqs(0), head);
+  EXPECT_EQ(active(0), all);
 
   // Finishing drops every ref, parked or active.
   tm.note_launched(1, 1);
+  std::vector<std::uint64_t> second = seqs(1);
   tm.note_finished(1, 1);
   tm.note_finished(1, 0);
-  EXPECT_EQ(tm.active(ResourceKind::kCpu).size(), 1u);
-  EXPECT_EQ(tm.parked(ResourceKind::kCpu).size(), 0u);
-  EXPECT_EQ(tm.active(ResourceKind::kCpu).begin()->second.task_index, 2u);
-}
-
-TEST(TaskManager, VersionMovesOnQueueChangesButNotOnLaunch) {
-  TaskCharDb db;
-  TaskManager tm(db);
-  const ResourceKind cpu = ResourceKind::kCpu;
-  const ResourceKind gpu = ResourceKind::kGpu;
-  std::uint64_t v0 = tm.version(cpu);
-  std::uint64_t g0 = tm.version(gpu);
-  tm.enqueue(spec_named("m", 0, true), 1, 0);  // every queue but the GPU one
-  std::uint64_t v1 = tm.version(cpu);
-  EXPECT_NE(v1, v0);
-  EXPECT_EQ(tm.slots(1, 0).size(), 4u);
-  // A launch only parks refs: dispatch rows stay, checked at use.
-  tm.note_launched(1, 0);
-  EXPECT_EQ(tm.version(cpu), v1);
-  tm.note_pending_again(1, 0);
-  std::uint64_t v2 = tm.version(cpu);
-  EXPECT_NE(v2, v1);
-  tm.note_finished(1, 0);
-  EXPECT_NE(tm.version(cpu), v2);
   EXPECT_TRUE(tm.slots(1, 0).empty());
-  // Each queue has its own version: the GPU queue never changed.
-  EXPECT_EQ(tm.version(gpu), g0);
-  tm.clear_queues();
-  EXPECT_NE(tm.version(gpu), g0);
+  EXPECT_TRUE(tm.slots(1, 1).empty());
+  for (std::uint64_t seq : head) EXPECT_FALSE(tm.ref_active(seq));
+  for (std::uint64_t seq : second) EXPECT_FALSE(tm.ref_active(seq));
+  EXPECT_EQ(active(2), all);
+  // A restore after the finish finds no refs to bring back.
+  tm.note_pending_again(1, 1);
+  EXPECT_TRUE(tm.slots(1, 1).empty());
+  for (std::uint64_t seq : second) EXPECT_FALSE(tm.ref_active(seq));
 }
 
 TEST(TaskManager, LocalRefsListPreferringRefsAndDropFinishedOnes) {
@@ -198,8 +207,8 @@ TEST(TaskManager, LocalRefsListPreferringRefsAndDropFinishedOnes) {
   tm.enqueue(b, 1, 1);
   tm.enqueue(c, 2, 0);
   auto seq_of = [&](ResourceKind kind, std::size_t task_index, StageId stage) {
-    for (const auto& [seq, ref] : tm.active(kind)) {
-      if (ref.stage == stage && ref.task_index == task_index) return seq;
+    for (const TaskManager::Slot& slot : tm.slots(stage, task_index)) {
+      if (slot.kind == kind) return slot.seq;
     }
     return ~std::uint64_t{0};
   };
@@ -218,7 +227,7 @@ TEST(TaskManager, LocalRefsListPreferringRefsAndDropFinishedOnes) {
   EXPECT_TRUE(std::is_sorted(net.begin(), net.end()));
 
   // Parked refs stay listed (a failure may restore them); only the seq's
-  // active half reports them waiting.
+  // state says whether they wait.
   tm.note_launched(1, 0);
   EXPECT_EQ(local(ResourceKind::kCpu, 5), (std::vector<std::uint64_t>{a_cpu, b_cpu}));
   EXPECT_FALSE(tm.ref_active(a_cpu));
@@ -227,8 +236,6 @@ TEST(TaskManager, LocalRefsListPreferringRefsAndDropFinishedOnes) {
   tm.note_finished(1, 0);
   EXPECT_EQ(local(ResourceKind::kCpu, 5), std::vector<std::uint64_t>{b_cpu});
   EXPECT_TRUE(local(ResourceKind::kCpu, 2).empty());
-  tm.clear_queues();
-  EXPECT_TRUE(local(ResourceKind::kCpu, 5).empty());
 }
 
 TEST(TaskCharDb, LookupMissReturnsNull) {
