@@ -575,6 +575,24 @@ TEST(SpanTrace, PerfettoExportHasLanesSlicesAndBalancedFlows) {
   EXPECT_EQ(flow_starts, flow_ends);
 }
 
+// Byte-for-byte pin of the Perfetto export (slice order, lanes, flow
+// arrows, number format) for the two-stage app under Spark.
+TEST(SpanTrace, PerfettoExportMatchesGolden) {
+  SimulationConfig cfg;
+  cfg.scheduler = SchedulerKind::kSpark;
+  cfg.enable_spans = true;
+  Simulation sim(cfg);
+  sim.run(two_stage_app());
+  std::ostringstream os;
+  sim.spans()->write_perfetto(os);
+  std::ifstream f(std::string(RUPAM_TEST_DATA_DIR) + "/golden/perfetto_two_stage_spark.json",
+                  std::ios::binary);
+  ASSERT_TRUE(f.is_open());
+  std::ostringstream golden;
+  golden << f.rdbuf();
+  EXPECT_EQ(os.str(), golden.str());
+}
+
 TEST(SpanTrace, DisabledByDefaultAndNeverPerturbsResult) {
   SimulationConfig base;
   base.scheduler = SchedulerKind::kRupam;
