@@ -2,7 +2,10 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
+#include <chrono>
 #include <fstream>
+#include <sstream>
 
 #include "common/json_writer.hpp"
 #include "simcore/kernel_stats.hpp"
@@ -44,6 +47,53 @@ double peak_rss_mib() {
   return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
 
+namespace {
+
+constexpr int kCalibrationSteps = 100000;
+constexpr std::uint32_t kCalibrationObjects = 10000;
+std::uint32_t calibration_key(std::uint32_t id) { return id * 2654435761u; }
+std::size_t calibration_tail(std::uint32_t id) { return 4 + id % 13; }
+
+}  // namespace
+
+Calibration::Calibration() {
+  for (std::uint32_t i = 0; i < kCalibrationObjects; ++i) {
+    auto o = std::make_unique<Object>();
+    o->tail.assign(calibration_tail(i), i);
+    objects_[calibration_key(i)] = std::move(o);
+  }
+  for (std::uint32_t i = 0; i < kCalibrationObjects; ++i) {
+    queue_.push({static_cast<double>(rng_() % 1000), i});
+  }
+}
+
+double Calibration::slice() {
+  auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kCalibrationSteps; ++i) step();
+  auto ns = std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - start);
+  step_ns_.push_back(ns.count() / kCalibrationSteps);
+  return step_ns_.back();
+}
+
+double Calibration::step_ns() const {
+  std::vector<double> v = step_ns_;
+  auto mid = v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2);
+  std::nth_element(v.begin(), mid, v.end());
+  return *mid;
+}
+
+void Calibration::step() {
+  auto [t, id] = queue_.top();
+  queue_.pop();
+  Object& o = *objects_[calibration_key(id)];
+  o.fields[id % 6] += static_cast<std::uint64_t>(t);
+  if (id % 3 == 0) {
+    std::vector<std::uint32_t> fresh(calibration_tail(id), id);
+    o.tail.swap(fresh);
+  }
+  queue_.push({t + static_cast<double>(rng_() % 1000) * 0.01 + 0.001, id});
+}
+
 JsonReport::JsonReport(std::string name) : path_("BENCH_" + std::move(name) + ".json") {}
 
 void JsonReport::add(const std::string& key, double value) {
@@ -51,7 +101,9 @@ void JsonReport::add(const std::string& key, double value) {
 }
 
 void JsonReport::add(const std::string& key, const std::string& value) {
-  entries_.emplace_back(key, json_quote(value));
+  std::ostringstream quoted;
+  write_json_string(quoted, value);
+  entries_.emplace_back(key, quoted.str());
 }
 
 void JsonReport::add_bool(const std::string& key, bool value) {
@@ -96,12 +148,11 @@ bool JsonReport::write() const {
                    json_number(ks.events_executed > 0
                                    ? queue_allocs / static_cast<double>(ks.events_executed)
                                    : 0.0));
-  f << "{\n";
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    f << "  " << json_quote(all[i].first) << ": " << all[i].second
-      << (i + 1 < all.size() ? "," : "") << "\n";
-  }
-  f << "}\n";
+  JsonWriter w(f);
+  w.begin_object();
+  for (const auto& [key, rendered] : all) w.key(key).raw(rendered);
+  w.end_object();
+  f << "\n";
   std::cout << "[json] wrote " << path_ << "\n";
   return f.good();
 }

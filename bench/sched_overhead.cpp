@@ -24,7 +24,7 @@
 //    FIFO's (supports the paper's claim that the extra bookkeeping keeps
 //    scheduler delay "moderate").
 //
-// The timing keys are host-normalised (see Calibration below), so CI's
+// The timing keys are host-normalised (see bench::Calibration), so CI's
 // strict comparison against bench/baselines/ judges the code, not the
 // runner: every `*_mean_ns` and `*_total_ms` key is scaled to a reference
 // host, and the raw figures stay in the report as `*_raw_ns` / `*_raw_ms`
@@ -33,13 +33,8 @@
 // is deterministic and gated as is.
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cstdlib>
-#include <memory>
 #include <new>
-#include <queue>
-#include <random>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -86,80 +81,6 @@ namespace {
 
 constexpr double kMaxRupamOverFifo = 10.0;
 constexpr int kMeasuredRuns = 7;
-
-// ---------------------------------------------------------------------------
-// Host-speed calibration. Raw section means move with the host: the same
-// code read 57-119% slower on a shared 4-core VM than on the host that
-// captured the baseline. So the bench times a fixed reference kernel in a
-// slice before and after every measured run, and scales that run's timings
-// to a host that runs one kernel step in kNominalStepNs, judged by the mean
-// of its two neighbouring slices: contention that slows a run also slows
-// the slices around it. The kernel is a small
-// discrete-event loop with the simulator's memory habits: a binary heap of
-// timed events, hash-map lookups into 10k heap objects and short-lived
-// allocations, about 2 MiB. It lives in this file, so a change to src/
-// cannot speed it up; a slower scheduler still reads slower.
-// ---------------------------------------------------------------------------
-constexpr double kNominalStepNs = 300.0;
-constexpr int kCalibrationSteps = 100000;
-
-class Calibration {
- public:
-  Calibration() {
-    for (std::uint32_t i = 0; i < kObjects; ++i) {
-      auto o = std::make_unique<Object>();
-      o->tail.assign(tail_size(i), i);
-      objects_[key(i)] = std::move(o);
-    }
-    for (std::uint32_t i = 0; i < kObjects; ++i) {
-      queue_.push({static_cast<double>(rng_() % 1000), i});
-    }
-  }
-
-  /// Time one slice; returns (and keeps) its nanoseconds per step.
-  double slice() {
-    auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < kCalibrationSteps; ++i) step();
-    auto ns = std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - start);
-    step_ns_.push_back(ns.count() / kCalibrationSteps);
-    return step_ns_.back();
-  }
-  /// Median nanoseconds per step over every slice.
-  double step_ns() const {
-    std::vector<double> v = step_ns_;
-    auto mid = v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2);
-    std::nth_element(v.begin(), mid, v.end());
-    return *mid;
-  }
-
- private:
-  static constexpr std::uint32_t kObjects = 10000;
-  struct Object {
-    std::uint64_t fields[6] = {};
-    std::vector<std::uint32_t> tail;
-  };
-  static std::uint32_t key(std::uint32_t id) { return id * 2654435761u; }
-  static std::size_t tail_size(std::uint32_t id) { return 4 + id % 13; }
-
-  void step() {
-    auto [t, id] = queue_.top();
-    queue_.pop();
-    Object& o = *objects_[key(id)];
-    o.fields[id % 6] += static_cast<std::uint64_t>(t);
-    if (id % 3 == 0) {
-      std::vector<std::uint32_t> fresh(tail_size(id), id);
-      o.tail.swap(fresh);
-    }
-    queue_.push({t + static_cast<double>(rng_() % 1000) * 0.01 + 0.001, id});
-  }
-
-  std::mt19937_64 rng_{12345};
-  std::priority_queue<std::pair<double, std::uint32_t>,
-                      std::vector<std::pair<double, std::uint32_t>>, std::greater<>>
-      queue_;
-  std::unordered_map<std::uint32_t, std::unique_ptr<Object>> objects_;
-  std::vector<double> step_ns_;
-};
 
 struct MeasuredRun {
   rupam::OverheadProfiler profiler;
@@ -211,7 +132,7 @@ int main(int argc, char** argv) {
       SchedulerProfile(SchedulerKind::kFifo), SchedulerProfile(SchedulerKind::kSpark),
       SchedulerProfile(SchedulerKind::kStageAware), SchedulerProfile(SchedulerKind::kHeft),
       SchedulerProfile(SchedulerKind::kRupam)};
-  Calibration calibration;
+  bench::Calibration calibration;
   for (SchedulerProfile& p : profiles) {
     SimulationConfig cfg;
     cfg.scheduler = p.kind;
@@ -247,7 +168,7 @@ int main(int argc, char** argv) {
       run.kernel = sim.sim().stats();
       run.speculation_checks = sim.scheduler().dispatch_work().speculation_checks;
       double after = calibration.slice();
-      run.scale = kNominalStepNs / (0.5 * (before + after));
+      run.scale = bench::Calibration::scale(before, after);
       before = after;
       p.scan_allocs += run.profiler.alloc_stats().scan_allocs;
     }
@@ -322,7 +243,7 @@ int main(int argc, char** argv) {
 
   std::cout << "\nTimes in reference-host ns: this host ran the calibration kernel at "
             << format_fixed(calibration.step_ns(), 1) << " ns/step (reference "
-            << format_fixed(kNominalStepNs, 0) << ").\n";
+            << format_fixed(bench::kNominalStepNs, 0) << ").\n";
   std::cout << "RUPAM/FIFO mean dispatch cost: " << format_fixed(ratio, 2)
             << "x (budget " << format_fixed(kMaxRupamOverFifo, 0) << "x)\n";
   if (!scan_alloc_free) return 1;

@@ -353,10 +353,7 @@ void Simulation::register_stage_parents(const Application& app) {
   for (const auto& job : app.jobs) {
     for (const auto& stage : job.stages) {
       if (spans_ && !stage.parents.empty()) spans_->set_stage_parents(stage.id, stage.parents);
-      if (config_.enable_analysis) {
-        stage_job_[stage.id] = job.id;
-        if (!stage.parents.empty()) analysis_stage_parents_[stage.id] = stage.parents;
-      }
+      if (config_.enable_analysis) stage_job_[stage.id] = job.id;
     }
   }
 }
@@ -368,7 +365,6 @@ RunArtifacts Simulation::run_artifacts() const {
   a.trace = trace_.get();
   a.jobs = analysis_jobs_;
   a.stage_job = stage_job_;
-  a.stage_parents = analysis_stage_parents_;
   a.nodes.reserve(executors_.size());
   // Node ids are dense and never reused, so every executor ever created —
   // including ones whose node has since been decommissioned — maps to a

@@ -225,7 +225,6 @@ class Simulation {
   /// Analysis joins (filled only when config_.enable_analysis).
   std::vector<JobCompletion> analysis_jobs_;
   std::map<StageId, JobId> stage_job_;
-  std::map<StageId, std::vector<StageId>> analysis_stage_parents_;
   /// Jitter stream for runtime-provisioned executors — separate from the
   /// construction-time stream so elastic runs never perturb the initial
   /// executors' draws (golden traces depend on them).

@@ -6,32 +6,29 @@
 
 namespace rupam {
 
-std::string json_escape(std::string_view in) {
-  std::string out;
-  out.reserve(in.size());
+void write_json_string(std::ostream& os, std::string_view in) {
+  os.put('"');
   for (char c : in) {
     switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
+      case '"': os << "\\\""; break;
+      case '\\': os << "\\\\"; break;
+      case '\n': os << "\\n"; break;
+      case '\r': os << "\\r"; break;
+      case '\t': os << "\\t"; break;
+      case '\b': os << "\\b"; break;
+      case '\f': os << "\\f"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
           std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
+          os << buf;
         } else {
-          out += c;
+          os.put(c);
         }
     }
   }
-  return out;
+  os.put('"');
 }
-
-std::string json_quote(std::string_view in) { return "\"" + json_escape(in) + "\""; }
 
 std::string json_number(double value, int precision) {
   if (!std::isfinite(value)) return "0";
@@ -111,20 +108,21 @@ JsonWriter& JsonWriter::key(std::string_view name) {
   if (!top.first) os_ << ',';
   top.first = false;
   newline_indent();
-  os_ << json_quote(name) << (pretty_ ? ": " : ":");
+  write_json_string(os_, name);
+  os_ << (pretty_ ? ": " : ":");
   key_pending_ = true;
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::string_view v) {
   before_value();
-  os_ << json_quote(v);
+  write_json_string(os_, v);
   return *this;
 }
 
-JsonWriter& JsonWriter::value(double v) {
+JsonWriter& JsonWriter::value(double v, int precision) {
   before_value();
-  os_ << json_number(v);
+  os_ << json_number(v, precision);
   return *this;
 }
 

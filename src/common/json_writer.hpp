@@ -11,12 +11,9 @@
 
 namespace rupam {
 
-/// Escape a string for inclusion inside a JSON string literal (no quotes
-/// added): ", \, and all control characters below 0x20.
-std::string json_escape(std::string_view in);
-
-/// `json_escape` wrapped in double quotes.
-std::string json_quote(std::string_view in);
+/// Write `in` as a JSON string literal: double-quoted, with ", \ and all
+/// control characters below 0x20 escaped.
+void write_json_string(std::ostream& os, std::string_view in);
 
 /// Render a double as a JSON number. Non-finite values (which JSON cannot
 /// represent) become 0.
@@ -44,7 +41,8 @@ class JsonWriter {
 
   JsonWriter& value(std::string_view v);
   JsonWriter& value(const char* v) { return value(std::string_view(v)); }
-  JsonWriter& value(double v);
+  /// `precision` significant digits, as json_number renders them.
+  JsonWriter& value(double v, int precision = 6);
   JsonWriter& value(int v) { return value(static_cast<long long>(v)); }
   JsonWriter& value(long long v);
   JsonWriter& value(unsigned long long v);

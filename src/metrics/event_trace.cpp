@@ -2,8 +2,8 @@
 
 #include <stdexcept>
 
-#include "common/json_writer.hpp"
 #include "common/table.hpp"
+#include "obs/trace_event_writer.hpp"
 
 namespace rupam {
 
@@ -59,58 +59,21 @@ void EventTrace::write_csv(std::ostream& os) const {
   }
 }
 
-// JSON escaping is shared with every other exporter (common/json_writer);
-// the line format here stays hand-rolled to keep the compact one-event-
-// per-line layout.
 void EventTrace::write_chrome_tracing(std::ostream& os) const {
-  os << "[\n";
-  bool first = true;
-  auto emit = [&](const std::string& line) {
-    if (!first) os << ",\n";
-    first = false;
-    os << "  " << line;
-  };
+  TraceEventWriter out(os);
   for (const auto& e : events_) {
-    double ts_us = e.time * 1e6;
-    switch (e.type) {
-      case TraceEventType::kTaskFinished:
-      case TraceEventType::kTaskFailed: {
-        // Completed attempt: a duration slice on the node's lane.
-        std::string name = "task " + std::to_string(e.task) + "#" + std::to_string(e.attempt);
-        emit("{\"name\": \"" + json_escape(name) + "\", \"cat\": \"" +
-             std::string(to_string(e.type)) + "\", \"ph\": \"X\", \"ts\": " +
-             format_fixed(ts_us - e.duration * 1e6, 3) + ", \"dur\": " +
-             format_fixed(e.duration * 1e6, 3) + ", \"pid\": " + std::to_string(e.node) +
-             ", \"tid\": " + std::to_string(e.task % 64) + ", \"args\": {\"detail\": \"" +
-             json_escape(e.detail) + "\"}}");
-        break;
-      }
-      case TraceEventType::kExecutorLost:
-      case TraceEventType::kTaskRelocated:
-      case TraceEventType::kFaultInjected:
-      case TraceEventType::kNodeDead:
-      case TraceEventType::kNodeRecovered:
-      case TraceEventType::kNodeBlacklisted:
-      case TraceEventType::kNodeUnblacklisted:
-      case TraceEventType::kPartitionResubmitted:
-      case TraceEventType::kNodeProvisioned:
-      case TraceEventType::kNodeJoined:
-      case TraceEventType::kNodeDraining:
-      case TraceEventType::kNodeDecommissioned:
-      case TraceEventType::kTaskPreempted:
-      case TraceEventType::kStageSubmitted: {
-        emit("{\"name\": \"" + std::string(to_string(e.type)) + "\", \"ph\": \"i\", \"ts\": " +
-             format_fixed(ts_us, 3) + ", \"pid\": " +
-             std::to_string(e.node == kInvalidNode ? 0 : e.node) +
-             ", \"tid\": 0, \"s\": \"g\", \"args\": {\"detail\": \"" + json_escape(e.detail) +
-             "\"}}");
-        break;
-      }
-      default:
-        break;  // launches are implied by the X events
+    auto detail = [&e](JsonWriter& args) { args.key("detail").value(e.detail); };
+    if (e.type == TraceEventType::kTaskFinished || e.type == TraceEventType::kTaskFailed) {
+      // Completed attempt: a duration slice on the node's lane.
+      out.slice(to_string(e.type),
+                "task " + std::to_string(e.task) + "#" + std::to_string(e.attempt), e.node,
+                e.task % 64, e.time - e.duration, e.duration, detail);
+    } else if (e.type != TraceEventType::kTaskLaunched &&
+               e.type != TraceEventType::kSpeculativeLaunched) {  // launches: in the slice
+      out.instant(to_string(e.type), e.node == kInvalidNode ? 0 : e.node, 0, e.time, detail);
     }
   }
-  os << "\n]\n";
+  out.finish();
 }
 
 }  // namespace rupam

@@ -1,7 +1,8 @@
 // Structured scheduling-event trace — the simulator's equivalent of the
 // Spark history server. Records every scheduling decision and failure,
-// exportable as CSV (analysis) or Chrome-tracing JSON (load either file
-// into chrome://tracing or Perfetto to see per-node task lanes).
+// exportable as CSV (analysis) or Trace Event JSON through the one writer
+// the span export also uses (obs/trace_event_writer): load it into
+// chrome://tracing or Perfetto to see per-node task lanes.
 #pragma once
 
 #include <array>
@@ -64,9 +65,10 @@ class EventTrace {
   /// One row per event: time,type,stage,task,attempt,node,duration,detail.
   void write_csv(std::ostream& os) const;
 
-  /// Chrome-tracing "Trace Event Format": task attempts become complete
-  /// ("X") events, one process lane per node; instant events for failures
-  /// and executor losses.
+  /// Chrome-tracing "Trace Event Format": each finished or failed attempt
+  /// becomes a complete ("X") event on its node's process lane, every other
+  /// event except launches a global instant ("i"); both carry the event's
+  /// detail in args.
   void write_chrome_tracing(std::ostream& os) const;
 
  private:

@@ -1,7 +1,6 @@
 #include "obs/analyzer.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <set>
 #include <stdexcept>
 #include <tuple>
@@ -15,86 +14,6 @@ namespace rupam {
 namespace {
 
 constexpr double kEps = 1e-9;
-
-struct AttemptKey {
-  StageId stage = -1;
-  TaskId task = -1;
-  AttemptId attempt = 0;
-
-  bool operator<(const AttemptKey& o) const {
-    return std::tie(stage, task, attempt) < std::tie(o.stage, o.task, o.attempt);
-  }
-  bool operator==(const AttemptKey& o) const {
-    return stage == o.stage && task == o.task && attempt == o.attempt;
-  }
-};
-
-/// One attempt reconstructed from its spans: the envelope [env_start,
-/// env_end] is gap-free (executor phases tile it), `launch` is the end of
-/// the queued span (== env_start when the attempt had no queue wait). The
-/// attempt's spans are the slice [first_span, first_span + num_spans) of
-/// AttemptIndex::span_order — a flat layout, so indexing a trace allocates
-/// one vector total instead of one per attempt.
-struct AttemptRec {
-  AttemptKey key;
-  NodeId node = kInvalidNode;
-  SimTime env_start = std::numeric_limits<double>::infinity();
-  SimTime env_end = -std::numeric_limits<double>::infinity();
-  SimTime launch = -1.0;
-  bool truncated = false;
-  std::size_t first_span = 0;
-  std::size_t num_spans = 0;
-};
-
-struct AttemptIndex {
-  std::vector<AttemptRec> attempts;     // sorted by key
-  std::vector<std::size_t> span_order;  // span indices grouped per attempt
-};
-
-AttemptIndex build_attempts(const std::vector<PhaseSpan>& spans) {
-  AttemptIndex idx;
-  // Sort a compact (key, index) array instead of comparing PhaseSpans in
-  // place: the comparator then reads contiguous memory, not three fields
-  // scattered across a 60-byte struct per probe.
-  struct Keyed {
-    std::uint64_t stage_task;
-    std::uint32_t attempt;
-    std::uint32_t index;
-  };
-  std::vector<Keyed> keyed(spans.size());
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    const PhaseSpan& s = spans[i];
-    keyed[i] = {(static_cast<std::uint64_t>(static_cast<std::uint32_t>(s.stage)) << 32) |
-                    static_cast<std::uint32_t>(s.task),
-                static_cast<std::uint32_t>(s.attempt), static_cast<std::uint32_t>(i)};
-  }
-  std::stable_sort(keyed.begin(), keyed.end(), [](const Keyed& a, const Keyed& b) {
-    return std::tie(a.stage_task, a.attempt) < std::tie(b.stage_task, b.attempt);
-  });
-  idx.span_order.resize(spans.size());
-  for (std::size_t i = 0; i < keyed.size(); ++i) idx.span_order[i] = keyed[i].index;
-  for (std::size_t i = 0; i < idx.span_order.size(); ++i) {
-    const PhaseSpan& s = spans[idx.span_order[i]];
-    AttemptKey key{s.stage, s.task, s.attempt};
-    if (idx.attempts.empty() || !(idx.attempts.back().key == key)) {
-      AttemptRec rec;
-      rec.key = key;
-      rec.first_span = i;
-      idx.attempts.push_back(rec);
-    }
-    AttemptRec& rec = idx.attempts.back();
-    rec.node = s.node;
-    rec.env_start = std::min(rec.env_start, s.start);
-    rec.env_end = std::max(rec.env_end, s.end);
-    if (s.phase == TaskPhase::kQueued) rec.launch = std::max(rec.launch, s.end);
-    rec.truncated = rec.truncated || s.truncated;
-    ++rec.num_spans;
-  }
-  for (AttemptRec& rec : idx.attempts) {
-    if (rec.launch < 0.0) rec.launch = rec.env_start;
-  }
-  return idx;
-}
 
 double clipped_len(const PhaseSpan& s, double lo, double hi) {
   return std::max(0.0, std::min(s.end, hi) - std::max(s.start, lo));
@@ -115,10 +34,9 @@ void attribute_window(const std::vector<PhaseSpan>& spans, const AttemptIndex& i
                       const AttemptRec& rec, double lo, double hi, PhaseAttribution& out) {
   double queued = 0, input = 0, shuffle_read = 0, compute = 0, gc = 0;
   double write = 0, spill = 0, output = 0;
-  const std::size_t* begin = idx.span_order.data() + rec.first_span;
-  const std::size_t* end = begin + rec.num_spans;
-  for (const std::size_t* p = begin; p != end; ++p) {
-    const PhaseSpan& s = spans[*p];
+  std::span<const std::size_t> own = idx.spans_of(rec);
+  for (std::size_t i : own) {
+    const PhaseSpan& s = spans[i];
     double len = clipped_len(s, lo, hi);
     if (len <= 0.0) continue;
     switch (s.phase) {
@@ -134,11 +52,11 @@ void attribute_window(const std::vector<PhaseSpan>& spans, const AttemptIndex& i
     }
   }
   // Un-double-count the nested phases.
-  for (const std::size_t* p = begin; p != end; ++p) {
-    const PhaseSpan& a = spans[*p];
+  for (std::size_t i : own) {
+    const PhaseSpan& a = spans[i];
     if (a.phase != TaskPhase::kGc && a.phase != TaskPhase::kSpill) continue;
-    for (const std::size_t* q = begin; q != end; ++q) {
-      const PhaseSpan& b = spans[*q];
+    for (std::size_t j : own) {
+      const PhaseSpan& b = spans[j];
       if (a.phase == TaskPhase::kGc && b.phase == TaskPhase::kCompute) {
         compute -= clipped_overlap(a, b, lo, hi);
       } else if (a.phase == TaskPhase::kSpill && b.phase == TaskPhase::kShuffleWrite) {
@@ -333,7 +251,8 @@ RunDiagnosis analyze_run(const RunArtifacts& artifacts, const AnalyzerConfig& co
   for (const JobCompletion& jc : jobs) {
     auto it = by_job.find(jc.job);
     auto& job_attempts = it != by_job.end() ? it->second : no_attempts;
-    diag.jobs.push_back(diagnose_job(jc, job_attempts, artifacts.stage_parents, index, spans));
+    diag.jobs.push_back(
+        diagnose_job(jc, job_attempts, artifacts.spans->stage_parents(), index, spans));
     diag.critical_path_total += diag.jobs.back().critical_path;
   }
 

@@ -15,8 +15,11 @@
 //     class, blacklist rebound, pool preemption, spot drain, GPU
 //     contention, GC pressure, shuffle skew).
 //
-// The analyzer is a pure function of a RunArtifacts bundle — it never
-// touches the simulator, so it can run on any recorded run (DESIGN.md §13).
+// Attempts come from the span trace's own grouping (build_attempts in
+// obs/spans, shared with the Perfetto export) and the DAG edges from its
+// stage parents, so the analyzer keeps no copy of either. It is a pure
+// function of a RunArtifacts bundle — it never touches the simulator, so
+// it can run on any recorded run (DESIGN.md §13).
 #pragma once
 
 #include <array>
@@ -132,9 +135,8 @@ struct RunArtifacts {
   const DecisionAudit* audit = nullptr;
   const EventTrace* trace = nullptr;
   std::vector<JobCompletion> jobs;
-  /// DAG facts: owning job and shuffle parents per stage.
+  /// DAG facts: owning job per stage (shuffle parents come with `spans`).
   std::map<StageId, JobId> stage_job;
-  std::map<StageId, std::vector<StageId>> stage_parents;
   std::vector<AnalyzerNodeInfo> nodes;
 };
 

@@ -467,12 +467,6 @@ void RupamScheduler::try_dispatch() {
         OverheadProfiler::Scope profile(profiler(), ProfileSection::kHeapMaintenance);
         queue = &rm_.queue(kind);
       }
-      if (audit_enabled()) {
-        admitted_scratch_.clear();
-        for (const NodeMetrics* m : *queue) {
-          if (node_available(*m, kind)) admitted_scratch_.push_back(m->node);
-        }
-      }
       // Walk the priority queue until a node accepts a task; launch at
       // most one task per kind-visit so no resource type is starved.
       // Refused nodes stay refused for the rest of the round, so the walk
@@ -516,8 +510,13 @@ void RupamScheduler::try_dispatch() {
           e.detail = "tag=" + std::string(to_string(tag)) +
                      " queue=" + std::string(to_string(kind)) +
                      " rank=" + std::to_string(node_rank);
-          e.candidates = static_cast<int>(admitted_scratch_.size());
-          e.candidate_nodes = admitted_scratch_;
+          // Every node this kind's queue admits. Nothing node_available
+          // reads has changed since the walk began, so this is the list an
+          // up-front filter of the queue would give.
+          for (const NodeMetrics* a : *queue) {
+            if (node_available(*a, kind)) e.candidate_nodes.push_back(a->node);
+          }
+          e.candidates = static_cast<int>(e.candidate_nodes.size());
           explain_next_launch(std::move(e));
         }
         if (!launch_task(*pick.stage, *pick.task, node, use_gpu, as_copy, kind)) continue;

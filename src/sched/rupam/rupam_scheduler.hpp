@@ -211,8 +211,6 @@ class RupamScheduler : public SchedulerBase {
   std::vector<DispatchTaskView> views_scratch_;
   /// Fair pool order (dense pool indices) of the current kind-visit.
   std::vector<std::uint32_t> pool_order_scratch_;
-  /// Audit only: the admitted nodes of the current kind-visit.
-  std::vector<NodeId> admitted_scratch_;
 };
 
 }  // namespace rupam

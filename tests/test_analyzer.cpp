@@ -134,12 +134,12 @@ TEST(AnalyzerCriticalPath, WalksShuffleParentsAndChargesGapsToDriver) {
   // Map stage 0 runs [0, 4]; reduce stage 1 runs [5, 9]; job ends at 9.5.
   trace.record(span(0.0, 4.0, TaskPhase::kCompute, 0, 0));
   trace.record(span(5.0, 9.0, TaskPhase::kCompute, 1, 100));
+  trace.set_stage_parents(1, {0});
 
   RunArtifacts art;
   art.spans = &trace;
   art.jobs = {job(0, 0.0, 9.5)};
   art.stage_job = {{0, 0}, {1, 0}};
-  art.stage_parents = {{1, {0}}};
 
   RunDiagnosis diag = analyze_run(art);
   ASSERT_EQ(diag.jobs.size(), 1u);
