@@ -53,15 +53,12 @@ RunRecord run_workload_once(const WorkloadPreset& preset, const ExperimentConfig
   rec.oom_kills = sim.total_oom_kills();
   rec.executor_losses = sim.total_executor_losses();
   rec.failed_attempts = sim.scheduler().failures().size();
-  rec.straggler_copies = sim.scheduler().straggler_copies();
-  rec.relocations = sim.scheduler().relocations();
   if (const UtilizationSampler* sampler = sim.sampler()) {
     rec.avg_cpu_util = sampler->avg_cpu_util();
     rec.avg_memory_used = sampler->avg_memory_used();
     rec.avg_net_rate = sampler->avg_net_rate();
     rec.avg_disk_rate = sampler->avg_disk_rate();
   }
-  if (config.keep_task_metrics) rec.completed = completed;
   return rec;
 }
 

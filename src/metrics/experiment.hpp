@@ -24,8 +24,6 @@ struct ExperimentConfig {
   int iterations_override = 0;
   std::uint64_t base_seed = 1;
   bool sample_utilization = false;
-  /// Keep per-attempt task metrics of every run (Figs 3 & 7, Table V).
-  bool keep_task_metrics = false;
   /// Base simulation configuration (scheduler/seed fields are overridden).
   SimulationConfig sim;
 };
@@ -39,13 +37,10 @@ struct RunRecord {
   std::size_t oom_kills = 0;
   std::size_t executor_losses = 0;
   std::size_t failed_attempts = 0;
-  std::size_t straggler_copies = 0;
-  std::size_t relocations = 0;
   double avg_cpu_util = 0.0;   // fraction
   double avg_memory_used = 0.0;  // bytes
   double avg_net_rate = 0.0;   // bytes/s
   double avg_disk_rate = 0.0;  // bytes/s
-  std::vector<TaskMetrics> completed;  // only when keep_task_metrics
 };
 
 struct ExperimentResult {
